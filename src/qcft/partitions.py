@@ -1,21 +1,26 @@
 """Partition counting: gap rules, congruence rules, Andrews-Gordon windows.
 
-Every counter exists twice: a backtracking enumeration that applies the raw
-definition to explicit part lists (the oracle, used up to n = 60), and a
-dynamic program for larger n.  count_partitions runs both where both apply
-and refuses to return if they disagree.
+The library counts by two iterative dynamic programs: a table over the
+smallest allowed part for the gap and congruence rules, and a multiplicity DP
+over part values for the window rule.  One backtracking enumerator applies the
+raw definition to explicit part lists; it is the oracle, used up to n = 60.
+count_partitions runs both and refuses to return if they disagree.  The
+Andrews-Gordon identity is checked by two independent DPs, one on each side.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import ConflictingConstraint
 from .reports import CheckReport
 
 ENUMERATION_LIMIT = 60
+#: Largest n_max gordon_check accepts: one call with k = 4 at this bound takes
+#: about 0.25 s (CPython 3.11, 2-core x86-64 VM), against a budget of 1 s.
+GORDON_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -25,7 +30,8 @@ class PartitionConstraint:
     min_gap g requires consecutive parts to differ by at least g; the
     window rule (k, gap) requires b_j - b_{j+k-1} >= gap for 1-indexed
     positions.  At most one of the two may be active.  allowed_residues
-    restricts parts to given residues mod `modulus`.
+    restricts parts to given residues mod `modulus`.  max_ones caps the
+    number of parts equal to 1.
     """
 
     min_part: int = 1
@@ -33,12 +39,19 @@ class PartitionConstraint:
     allowed_residues: frozenset[int] | None = None
     modulus: int | None = None
     window: tuple[int, int] | None = None
+    max_ones: int | None = None
 
     def __post_init__(self):
         if self.min_gap > 0 and self.window is not None:
             raise ConflictingConstraint("min_gap and window cannot both be active")
         if (self.allowed_residues is None) != (self.modulus is None):
             raise ValueError("allowed_residues and modulus must be given together")
+        if self.min_part < 1 or self.min_gap < 0:
+            raise ValueError("need min_part >= 1 and min_gap >= 0")
+        if self.window is not None and self.window[0] < 1:
+            raise ValueError("a window spans at least one part")
+        if self.max_ones is not None and self.max_ones < 0:
+            raise ValueError("max_ones must be >= 0")
         if self.allowed_residues is not None:
             object.__setattr__(self, "allowed_residues",
                                frozenset(r % self.modulus for r in self.allowed_residues))
@@ -63,6 +76,8 @@ class PartitionConstraint:
             for j in range(len(parts) - k + 1):
                 if parts[j] - parts[j + k - 1] < gap:
                     return False
+        if self.max_ones is not None and parts.count(1) > self.max_ones:
+            return False
         return True
 
 
@@ -83,75 +98,99 @@ class CountTable:
 
 
 def _enumerate_counts(n_max: int, c: PartitionConstraint) -> list[int]:
-    """Backtracking oracle: walk every valid partition with sum <= n_max."""
+    """Backtracking oracle: walk every valid partition with sum <= n_max.
+
+    Parts are placed from the largest down, and each new part s is checked
+    only against the rules s can break: its size and residue, the gap to the
+    previous part, the window ending at s, and the ones budget.  Every other
+    rule instance involves accepted parts only, so this is parts_valid on the
+    extended list, and a failed prefix is pruned soundly: a prefix of a valid
+    partition is itself valid.
+    """
     counts = [0] * (n_max + 1)
     counts[0] = 1  # empty partition
+    k, wgap = c.window if c.window is not None else (0, 0)
+    if k == 1 and wgap > 0:
+        return counts  # b_j - b_j >= gap fails for every part
+    # descending[h]: the parts <= h that pass the size and residue rules
+    descending = [[s for s in range(h, c.min_part - 1, -1) if c.part_allowed(s)]
+                  for h in range(n_max + 1)]
+    parts = [0] * n_max  # parts[:depth] is the partition being extended
 
-    def extend(parts: list[int], total: int, max_next: int):
-        for s in range(max_next, c.min_part - 1, -1):
-            if total + s > n_max:
-                continue
-            parts.append(s)
-            if c.parts_valid(parts):
-                counts[total + s] += 1
-                extend(parts, total + s, s)
-            parts.pop()
+    def extend(total: int, depth: int, hi: int, ones_left: int):
+        # hi: the largest part the gap to the previous part allows
+        hi = min(hi, n_max - total)
+        if k > 1 and depth >= k - 1:
+            hi = min(hi, parts[depth - k + 1] - wgap)
+        if hi < 1:
+            return
+        for s in descending[hi]:
+            if s == 1 and ones_left == 0:
+                break
+            counts[total + s] += 1
+            parts[depth] = s
+            extend(total + s, depth + 1, s - c.min_gap, ones_left - (s == 1))
 
-    # Pruning on failed prefixes is sound: for every rule in scope, a prefix
-    # (taken from the largest part down) of a valid partition is itself valid.
-    extend([], 0, n_max)
+    extend(0, 0, n_max, n_max if c.max_ones is None else c.max_ones)
     return counts
 
 
 def _dp_counts(n_max: int, c: PartitionConstraint) -> list[int]:
-    """Dynamic program for the same counts."""
+    """The same counts by a bottom-up table over the smallest allowed part.
+
+    Row s counts partitions whose parts are all >= s.  Either s is not used
+    (row s + 1), or s is the smallest part and the rest lie in row s + gap;
+    with no gap rule s repeats, so the rest lie in row s itself.
+    """
     if c.window is not None:
         return _dp_window(n_max, c)
     gap = c.min_gap
-
-    @lru_cache(maxsize=None)
-    def g(n: int, m: int) -> int:
-        # partitions of n with smallest-part threshold m under the gap rule
-        if n == 0:
-            return 1
-        if m > n:
-            return 0
-        total = g(n, m + 1)
-        if c.part_allowed(m):
-            total += g(n - m, m + gap if gap > 0 else m)
-        return total
-
-    out = [g(n, c.min_part) for n in range(n_max + 1)]
-    g.cache_clear()
-    return out
+    ones = n_max if c.max_ones is None else c.max_ones
+    # ahead[j] is row s + 1 + j; the empty partition is the only one above n_max
+    ahead = deque([[1] + [0] * n_max] * max(gap, 1), maxlen=max(gap, 1))
+    for s in range(n_max, c.min_part - 1, -1):
+        row = list(ahead[0])
+        if c.part_allowed(s) and not (s == 1 and ones == 0):
+            rest = ahead[-1] if gap else row
+            for n in range(s, n_max + 1):
+                row[n] += rest[n - s]
+            if s == 1 and not gap:
+                # drop the partitions with more than `ones` parts equal to 1
+                row = [v - (row[n - ones - 1] if n > ones else 0) for n, v in enumerate(row)]
+        ahead.appendleft(row)
+    return ahead[0]
 
 
 def _dp_window(n_max: int, c: PartitionConstraint) -> list[int]:
     """Multiplicity DP for the window rule (k, gap) with gap = 2.
 
     b_j - b_{j+k-1} >= 2 is equivalent to f_v + f_{v+1} <= k - 1 for the
-    multiplicities f_v of each value v.
+    multiplicities f_v of each value v.  Values are taken in increasing
+    order; the state is (multiplicity of the previous value, total).
     """
     k, gap = c.window
     if gap != 2:
         raise NotImplementedError("window DP implemented for gap = 2 only")
-
-    @lru_cache(maxsize=None)
-    def h(n: int, v: int, f_above: int) -> int:
-        # n left to place with values <= v; f_above = multiplicity of v+1
-        if n == 0:
-            return 1
-        if v < c.min_part:
-            return 0
-        total = 0
-        cap = min(n // v, k - 1 - f_above) if c.part_allowed(v) else 0
-        for f in range(max(cap, 0) + 1):
-            total += h(n - f * v, v - 1, f)
-        return total
-
-    out = [h(n, n if n else 1, 0) for n in range(n_max + 1)]
-    h.cache_clear()
-    return out
+    top = k - 1
+    zero = [0] * (n_max + 1)
+    # layer[f][t]: multiplicities of the values so far, f copies of the last one, sum t
+    layer = [[1] + [0] * n_max] + [zero] * top
+    for v in range(c.min_part, n_max + 1):
+        cap = min(top, n_max // v) if c.part_allowed(v) else 0
+        if v == 1 and c.max_ones is not None:
+            cap = min(cap, c.max_ones)
+        # below[j] sums the layers with f <= j copies of v - 1
+        below = [layer[0]]
+        for f in range(1, top + 1):
+            below.append([a + b for a, b in zip(below[-1], layer[f])])
+        layer = [below[top]]
+        for f in range(1, top + 1):
+            if f > cap:
+                layer.append(zero)
+            else:
+                shift = f * v
+                layer.append([0] * shift + below[top - f][:n_max + 1 - shift])
+    return [sum(column) for column in zip(*layer)]
 
 
 def count_partitions(n_max: int, c: PartitionConstraint) -> CountTable:
@@ -193,58 +232,28 @@ def unrestricted_p(n_max: int) -> CountTable:
 
 # -- Andrews-Gordon ------------------------------------------------------------
 
-def _gordon_gap_counts(n_max: int, k: int, i: int) -> list[int]:
-    """Enumerate partitions with b_j - b_{j+k-1} >= 2 and at most i-1 ones."""
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
+def _gordon_constraints(k: int, i: int) -> tuple[PartitionConstraint, PartitionConstraint]:
+    """The two sides of Gordon's theorem for (k, i).
 
-    def extend(parts: list[int], total: int, max_next: int):
-        for s in range(max_next, 0, -1):
-            if total + s > n_max:
-                continue
-            if s == 1 and parts.count(1) >= i - 1:
-                continue
-            parts.append(s)
-            if len(parts) >= k and parts[-k] - s < 2:
-                parts.pop()
-                continue
-            counts[total + s] += 1
-            extend(parts, total + s, s)
-            parts.pop()
-
-    extend([], 0, n_max)
-    return counts
-
-
-def _gordon_congruence_counts(n_max: int, k: int, i: int) -> list[int]:
-    """Enumerate partitions into parts not congruent to 0, +-i mod 2k+1."""
+    Partitions with b_j - b_{j+k-1} >= 2 and at most i - 1 ones are
+    equinumerous with partitions into parts not congruent to 0, +-i mod 2k+1
+    (Andrews, The Theory of Partitions, ch. 7).
+    """
     m = 2 * k + 1
-    banned = {0, i % m, (-i) % m}
-    allowed = [s for s in range(1, n_max + 1) if s % m not in banned]
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
-
-    def extend(total: int, idx: int):
-        # parts chosen in decreasing order of the allowed list
-        for j in range(idx, -1, -1):
-            s = allowed[j]
-            if total + s > n_max:
-                continue
-            counts[total + s] += 1
-            extend(total + s, j)
-
-    extend(0, len(allowed) - 1)
-    return counts
+    residues = frozenset(range(1, m)) - {i % m, (-i) % m}
+    return (PartitionConstraint(window=(k, 2), max_ones=i - 1),
+            PartitionConstraint(allowed_residues=residues, modulus=m))
 
 
 def gordon_check(k: int, i: int, n_max: int) -> CheckReport:
-    """Andrews-Gordon identity check by independent double enumeration."""
+    """Andrews-Gordon identity check by two independent DPs, to n_max <= GORDON_LIMIT."""
     if not (2 <= k and 1 <= i <= k):
         raise ValueError("need 2 <= k and 1 <= i <= k")
-    if n_max > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration capped at n_max = {ENUMERATION_LIMIT}")
-    lhs = _gordon_gap_counts(n_max, k, i)
-    rhs = _gordon_congruence_counts(n_max, k, i)
+    if not (0 <= n_max <= GORDON_LIMIT):
+        raise ValueError(f"need 0 <= n_max <= {GORDON_LIMIT}")
+    gaps, congruences = _gordon_constraints(k, i)
+    lhs = _dp_window(n_max, gaps)
+    rhs = _dp_counts(n_max, congruences)
     bad = [(n, lhs[n], rhs[n]) for n in range(n_max + 1) if lhs[n] != rhs[n]]
     return CheckReport(
         name="gordon",

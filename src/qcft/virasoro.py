@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import LevelTooLarge
 from .partitions import PartitionConstraint, count_partitions
@@ -346,10 +347,16 @@ def character_25(sector: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     return FracQSeries(CHARACTER_PREFACTOR[sector], counts.values)
 
 
+@lru_cache(maxsize=4)
+def _torus_characters_25(order: int) -> tuple[FracQSeries, FracQSeries]:
+    """q^{-1/60} G and q^{11/60} H, built once per order for every tau."""
+    return (FracQSeries(Fraction(-1, 60), rr_product("G", order).coeffs),
+            FracQSeries(Fraction(11, 60), rr_product("H", order).coeffs))
+
+
 def torus_partition_function_25(tau: complex, order: int = DEFAULT_ORDER) -> float:
     """|chi_{-1/60}|^2 + |chi_{11/60}|^2 at q = exp(2*pi*i*tau)."""
-    chi_g = FracQSeries(Fraction(-1, 60), rr_product("G", order).coeffs)
-    chi_h = FracQSeries(Fraction(11, 60), rr_product("H", order).coeffs)
+    chi_g, chi_h = _torus_characters_25(order)
     return abs(evaluate_series(chi_g, tau)) ** 2 + abs(evaluate_series(chi_h, tau)) ** 2
 
 

@@ -150,6 +150,12 @@ def test_every_group_runs_clean(capsys):
         assert records and all(r["pass"] for r in records)
 
 
+def test_rr_group_at_order_600(capsys):
+    assert main(["rr", "--order", "600"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert {r["params"]["n_max"] for r in reports if "counting" in r["name"]} == {"599"}
+
+
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("order = banana\n")

@@ -1,14 +1,21 @@
 """Restricted partition counting: the DP is cross-checked internally against a
 backtracking enumeration; here we add frozen values, a third independent oracle
-for the unrestricted count, and the asymptotic growth probe."""
+for the unrestricted count, both Andrews-Gordon sides against the enumerator,
+a property test of the enumerator and the DPs, and the asymptotic growth probe."""
 
 import math
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcft.errors import ConflictingConstraint
-from qcft.partitions import (ENUMERATION_LIMIT, PartitionConstraint, count_partitions,
-                             gordon_check, growth_probe, unrestricted_p)
+from qcft.partitions import (ENUMERATION_LIMIT, GORDON_LIMIT, PartitionConstraint,
+                             _dp_counts, _dp_window, _enumerate_counts, _gordon_constraints,
+                             count_partitions, gordon_check, growth_probe, unrestricted_p)
+
+GORDON_SHAPES = [(k, i) for k in (2, 3, 4) for i in range(1, k + 1)]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +85,17 @@ def test_conflicting_constraint():
         PartitionConstraint(allowed_residues=frozenset({1}))
 
 
+def test_constraint_validation():
+    with pytest.raises(ValueError):
+        PartitionConstraint(max_ones=-1)
+    with pytest.raises(ValueError):
+        PartitionConstraint(min_part=0)
+    with pytest.raises(ValueError):
+        PartitionConstraint(window=(0, 2))
+    assert PartitionConstraint(max_ones=0).parts_valid([3, 2])
+    assert not PartitionConstraint(max_ones=1).parts_valid([3, 1, 1])
+
+
 def test_enumeration_cross_check_scope():
     # guard threshold itself is part of the contract
     assert ENUMERATION_LIMIT == 60
@@ -89,11 +107,68 @@ def test_gordon_identities(k, i):
     assert report.passed, report.details
 
 
+@pytest.mark.parametrize("k,i", GORDON_SHAPES)
+def test_gordon_sides_match_enumeration(k, i):
+    # the oracle range: each DP against the single backtracking enumerator
+    gaps, congruences = _gordon_constraints(k, i)
+    assert gaps.window == (k, 2) and gaps.max_ones == i - 1
+    n = ENUMERATION_LIMIT
+    assert _enumerate_counts(n, gaps) == _dp_window(n, gaps)
+    assert _enumerate_counts(n, congruences) == _dp_counts(n, congruences)
+
+
+@pytest.mark.parametrize("k,i", GORDON_SHAPES)
+def test_gordon_identities_by_dp(k, i):
+    report = gordon_check(k, i, 200)
+    assert report.passed, report.details
+    assert report.params["n_max"] == 200
+
+
 def test_gordon_argument_validation():
     with pytest.raises(ValueError):
         gordon_check(2, 3, 40)
     with pytest.raises(ValueError):
-        gordon_check(3, 1, ENUMERATION_LIMIT + 1)
+        gordon_check(3, 1, GORDON_LIMIT + 1)
+    with pytest.raises(ValueError):
+        gordon_check(3, 1, -1)
+
+
+# -- property test: enumerator against brute force, DP against enumerator ---------------
+
+@cache
+def all_partitions(n):
+    """Every partition of n as a weakly decreasing list, by plain recursion."""
+    def rec(rest, cap):
+        if rest == 0:
+            yield []
+            return
+        for s in range(min(rest, cap), 0, -1):
+            for tail in rec(rest - s, s):
+                yield [s] + tail
+    return tuple(rec(n, n))
+
+
+@st.composite
+def constraints(draw):
+    kwargs = {"min_part": draw(st.integers(1, 3))}
+    if draw(st.booleans()):
+        kwargs["min_gap"] = draw(st.integers(0, 3))
+    else:
+        kwargs["window"] = (draw(st.integers(1, 4)), 2)
+    if draw(st.booleans()):
+        modulus = draw(st.integers(2, 6))
+        kwargs["modulus"] = modulus
+        kwargs["allowed_residues"] = draw(st.frozensets(st.integers(0, modulus - 1)))
+    kwargs["max_ones"] = draw(st.none() | st.integers(0, 3))
+    return PartitionConstraint(**kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(constraints())
+def test_enumerator_and_dp_match_definition(c):
+    brute = [sum(1 for p in all_partitions(n) if c.parts_valid(p)) for n in range(25)]
+    assert _enumerate_counts(24, c) == brute
+    assert _dp_counts(40, c) == _enumerate_counts(40, c)
 
 
 def test_growth_probe_monotone_toward_one():

@@ -211,6 +211,17 @@ def test_characters_match_rr_series():
     assert chi1 == FracQSeries(CHARACTER_PREFACTOR["Vm15"], rr_product("G", n).coeffs)
 
 
+def test_character_at_order_600_matches_coin_change():
+    # past the depth where a recursive DP fails: parts = +-2 mod 5 expand H(q)
+    n = 600
+    h = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        if m % 5 in (2, 3):
+            for j in range(m, n):
+                h[j] += h[j - m]
+    assert character_25("V0", n) == FracQSeries(CHARACTER_PREFACTOR["V0"], h)
+
+
 def test_character_sector_validation():
     with pytest.raises(ValueError):
         character_25("V1")
