@@ -19,6 +19,11 @@ def _exact(name: str, params: dict, ok: bool, details: dict | None = None) -> Ch
     return CheckReport(name, params, ok, "0/1" if ok else "1/1", details, "exact")
 
 
+def _located(name: str, params: dict, key: str, where) -> CheckReport:
+    """An exact check that passes when `where` is None and otherwise says where it failed."""
+    return _exact(name, params, where is None, None if where is None else {key: where})
+
+
 def _numeric(name: str, params: dict, residual: float, tolerance: float,
              details: dict | None = None) -> CheckReport:
     return CheckReport(name, params, residual <= tolerance,
@@ -106,10 +111,10 @@ def check_rr(cfg: RunConfig) -> list[CheckReport]:
         congr = partitions.count_partitions(
             n, partitions.PartitionConstraint(allowed_residues=frozenset(residues),
                                               modulus=5))
-        gap_ok = all(product.coeffs[i] == gaps[i] for i in range(n + 1))
-        congr_ok = all(product.coeffs[i] == congr[i] for i in range(n + 1))
-        out.append(_exact(f"rr.{which}_gap_counting", {"n_max": n}, gap_ok))
-        out.append(_exact(f"rr.{which}_congruence_counting", {"n_max": n}, congr_ok))
+        for rule, counts in (("gap", gaps), ("congruence", congr)):
+            first = next((i for i in range(n + 1) if product.coeffs[i] != counts[i]), None)
+            out.append(_located(f"rr.{which}_{rule}_counting", {"n_max": n},
+                                "first_mismatch", first))
     for k in (2, 3, 4):
         for i in range(1, k + 1):
             rep = partitions.gordon_check(k, i, 60)
@@ -191,7 +196,9 @@ def check_ode(cfg: RunConfig) -> list[CheckReport]:
     out = []
     for which in ("G", "H"):
         res = virasoro.ode_residual(which, n)
-        out.append(_exact(f"ode.residual_{which}", {"order": n}, res.is_zero()))
+        first = next((rat_str(res.prefactor + k) for k, c in enumerate(res.coeffs) if c), None)
+        out.append(_located(f"ode.residual_{which}", {"order": n},
+                            "first_nonzero_exponent", first))
     probe = virasoro.ode_residual("G", min(n, 32), rhs_coefficient=Fraction(1, 360))
     out.append(_exact("ode.perturbed_probe_nonzero", {}, not probe.is_zero()))
     return out

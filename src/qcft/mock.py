@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (NotInUpperHalfPlane, RoundingUnstable, ThetaConstantVanishes,
                      ThetaZeroDivision, ZDependenceDetected)
 from .series import rat_str
@@ -149,6 +147,8 @@ def extract_mock_coefficients(y0: float = 0.3,
     per mode, rounds to integers, and factors out the scale making the
     leading entry -1.
     """
+    import numpy as np  # qcft's only numpy use: imported here, `import qcft` does not load it
+
     if not (0.15 <= y0 <= 0.5):
         raise ValueError("y0 outside [0.15, 0.5]")
     if grid < 64 or grid & (grid - 1):

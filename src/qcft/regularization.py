@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import InvalidProgression
 from .series import DEFAULT_ORDER, FracQSeries, rat_str
+from .special import euler_product
 
 
 @dataclass(frozen=True)
@@ -80,11 +81,7 @@ def casimir_exponent(s: ArithmeticProgressionSet) -> Fraction:
 
 
 def _product_series(s: ArithmeticProgressionSet, order: int, sign: int) -> FracQSeries:
-    body = FracQSeries.one(order)
-    for e in s.members(order):
-        body = body.mul_sparse(e, sign)
-    inv = body.invert()
-    return FracQSeries(casimir_exponent(s), inv.coeffs)
+    return FracQSeries(casimir_exponent(s), euler_product(s.members(order), sign, True, order))
 
 
 def oscillator_partition_series(s: ArithmeticProgressionSet,

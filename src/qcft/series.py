@@ -3,12 +3,15 @@
 A series is q^a * (c_0 + c_1 q + ... + c_{N-1} q^{N-1}) with a rational and
 all c_n rational.  The prefactor exponent a carries objects like
 q^{-1/60} * G(q) exactly; the integer-indexed part keeps the Cauchy product
-simple.  No floating point enters anywhere in this module.
+simple.  Products and inverses clear denominators once and run over ints.
+No floating point enters anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import ExponentOutOfRange, NonAlignablePrefactor, NonUnitLeadingCoefficient
@@ -29,6 +32,12 @@ def rat(x: RationalLike) -> Fraction:
 def rat_str(x: Fraction) -> str:
     """Serialize a rational as reduced 'numerator/denominator' ('0/1' for zero)."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def _int_numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Clear denominators once: (numerators, d) with coeffs[n] = numerators[n] / d."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 class FracQSeries:
@@ -137,15 +146,10 @@ class FracQSeries:
         if not isinstance(other, FracQSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        coeffs = [Fraction(0)] * n
-        for i in range(n):
-            ci = self.coeffs[i]
-            if ci == 0:
-                continue
-            for j in range(n - i):
-                cj = other.coeffs[j]
-                if cj != 0:
-                    coeffs[i + j] += ci * cj
+        a, da = _int_numerators(self.coeffs[:n])
+        b, db = _int_numerators(other.coeffs[:n])
+        d = da * db
+        coeffs = [Fraction(sum(map(mul, a[:k + 1], b[k::-1])), d) for k in range(n)]
         return FracQSeries(self.prefactor + other.prefactor, coeffs)
 
     __rmul__ = __mul__
@@ -155,20 +159,21 @@ class FracQSeries:
         return FracQSeries(self.prefactor, [k * c for c in self.coeffs])
 
     def invert(self) -> "FracQSeries":
-        """Multiplicative inverse up to the stored order; prefactor is negated."""
+        """Multiplicative inverse up to the stored order; prefactor is negated.
+
+        With f = a/d over ints, fraction-free: h_0 = 1 and
+        h_m = -sum_{k>=1} a_k a_0^(k-1) h_{m-k}, so that (1/f)_m = d h_m / a_0^(m+1).
+        """
         if self.coeffs[0] == 0:
             raise NonUnitLeadingCoefficient("leading coefficient is zero")
-        a0 = self.coeffs[0]
-        inv = [Fraction(0)] * self.order
-        inv[0] = 1 / a0
-        for n in range(1, self.order):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                ck = self.coeffs[k]
-                if ck != 0:
-                    acc += ck * inv[n - k]
-            inv[n] = -acc / a0
-        return FracQSeries(-self.prefactor, inv)
+        a, d = _int_numerators(self.coeffs)
+        a0 = a[0]
+        w = [a[k] * a0 ** (k - 1) for k in range(1, self.order)]
+        h = [1]
+        for m in range(1, self.order):
+            h.append(-sum(map(mul, w[:m], h[::-1])))
+        return FracQSeries(-self.prefactor,
+                           [Fraction(d * h[m], a0 ** (m + 1)) for m in range(self.order)])
 
     def q_derivative(self) -> "FracQSeries":
         """The operator q d/dq: coefficient of q^(a+n) is multiplied by a+n."""
@@ -184,12 +189,6 @@ class FracQSeries:
         for i, c in enumerate(self.coeffs):
             coeffs[i * k] = c
         return FracQSeries(self.prefactor * k, coeffs)
-
-    def truncate(self, order: int) -> "FracQSeries":
-        """Drop coefficients beyond the given order (pad with zeros if longer)."""
-        cs = list(self.coeffs[:order])
-        cs += [Fraction(0)] * (order - len(cs))
-        return FracQSeries(self.prefactor, cs)
 
     # -- queries ---------------------------------------------------------------
 
@@ -225,29 +224,3 @@ class FracQSeries:
         if s.order != rec["order"]:
             raise ValueError("order field disagrees with coefficient count")
         return s
-
-
-# Functional aliases matching the operation names used elsewhere.
-
-def add(f: FracQSeries, g: FracQSeries) -> FracQSeries:
-    return f + g
-
-
-def mul(f: FracQSeries, g: FracQSeries) -> FracQSeries:
-    return f * g
-
-
-def invert(f: FracQSeries) -> FracQSeries:
-    return f.invert()
-
-
-def q_derivative(f: FracQSeries) -> FracQSeries:
-    return f.q_derivative()
-
-
-def substitute_power(f: FracQSeries, k: int) -> FracQSeries:
-    return f.substitute_power(k)
-
-
-def coefficient_at(f: FracQSeries, e: RationalLike) -> Fraction:
-    return f.coefficient_at(e)

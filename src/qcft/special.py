@@ -1,6 +1,7 @@
 """Named modular objects: Dedekind eta, Eisenstein series, Rogers-Ramanujan products.
 
-Exact constructors return FracQSeries; eta_eval and evaluate_series are the
+Exact constructors return FracQSeries, and every Euler product among them is
+expanded over ints by euler_product; eta_eval and evaluate_series are the
 numeric consumers (q = exp(2*pi*i*tau) throughout, cutoffs chosen so the first
 neglected term is below 1e-15).
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import NotInUpperHalfPlane
 from .series import DEFAULT_ORDER, FracQSeries
@@ -25,14 +27,32 @@ def divisor_sums(k: int, n_max: int) -> list[int]:
     return values[1:]
 
 
-def dedekind_eta(order: int = DEFAULT_ORDER) -> FracQSeries:
-    """q^{1/24} * prod_{n>=1} (1 - q^n), truncated after `order` coefficients."""
+def euler_product(exponents: Iterable[int], sign: int, invert: bool,
+                  order: int) -> list[int]:
+    """The first `order` coefficients of prod (1 + sign q^e) over the exponents,
+    or of its inverse: each factor is one in-place pass over ints.
+
+    (1 + s q^e) runs from the top index down, so every term is used once;
+    1 / (1 + s q^e) is the coin-change update g_n = f_n - s g_(n-e), bottom up.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    f = FracQSeries.one(order)
-    for n in range(1, order):
-        f = f.mul_sparse(n, -1)
-    return FracQSeries(Fraction(1, 24), f.coeffs)
+    coeffs = [1] + [0] * (order - 1)
+    for e in exponents:
+        if e < 1:
+            raise ValueError(f"exponent {e} < 1")
+        if invert:
+            for n in range(e, order):
+                coeffs[n] -= sign * coeffs[n - e]
+        else:
+            for n in range(order - 1, e - 1, -1):
+                coeffs[n] += sign * coeffs[n - e]
+    return coeffs
+
+
+def dedekind_eta(order: int = DEFAULT_ORDER) -> FracQSeries:
+    """q^{1/24} * prod_{n>=1} (1 - q^n), truncated after `order` coefficients."""
+    return FracQSeries(Fraction(1, 24), euler_product(range(1, order), -1, False, order))
 
 
 def eisenstein(k: int, order: int = DEFAULT_ORDER) -> FracQSeries:
@@ -47,26 +67,19 @@ def eisenstein(k: int, order: int = DEFAULT_ORDER) -> FracQSeries:
     return FracQSeries(0, [1] + [mult * s for s in sig])
 
 
+def _rr_parts(which: str, order: int) -> list[int]:
+    residues = {"G": (1, 4), "H": (2, 3)}[which]
+    return [e for e in range(1, order) if e % 5 in residues]
+
+
 def rr_product(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     """Rogers-Ramanujan products: G over parts = +-1 mod 5, H over +-2 mod 5."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    residues = {"G": (1, 4), "H": (2, 3)}[which]
-    f = FracQSeries.one(order)
-    for e in range(1, order):
-        if e % 5 in residues:
-            f = f.mul_sparse(e, -1)
-    return f.invert()
+    return FracQSeries(0, euler_product(_rr_parts(which, order), -1, True, order))
 
 
 def rr_complement(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     """The finite product prod (1 - q^e) over the residues of G or H (not inverted)."""
-    residues = {"G": (1, 4), "H": (2, 3)}[which]
-    f = FracQSeries.one(order)
-    for e in range(1, order):
-        if e % 5 in residues:
-            f = f.mul_sparse(e, -1)
-    return f
+    return FracQSeries(0, euler_product(_rr_parts(which, order), -1, False, order))
 
 
 def _nome(tau: complex) -> complex:

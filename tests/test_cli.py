@@ -3,15 +3,22 @@ exit codes.  CLI calls run in-process through main(argv)."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qcft.checks import GROUPS, run_group
+import qcft
+from qcft import special, virasoro
+from qcft.checks import GROUPS, run_all, run_group
 from qcft.cli import _parse_progressions, build_parser, main
 from qcft.config import RunConfig, load_config
 from qcft.errors import ConfigParse, GoldenMismatch
 from qcft.reports import CheckReport, compare_golden, reports_to_bytes, write_golden
+from qcft.series import FracQSeries
 
+GOLDEN_EXACT = Path(__file__).parent / "data" / "golden_exact.json"
 ORDER_ARGS = ["--order", "40"]
 
 
@@ -124,6 +131,42 @@ def test_golden_exact_is_strict(tmp_path):
     with pytest.raises(GoldenMismatch) as exc:
         compare_golden(changed, golden)
     assert "alpha" in str(exc.value)
+
+
+def test_exact_report_matches_pinned_golden():
+    # the exact-only report holds only rationals, so its bytes are the same on any machine
+    assert reports_to_bytes(run_all(RunConfig(exact_only=True))) == GOLDEN_EXACT.read_bytes()
+
+
+def test_failing_exact_checks_say_where(monkeypatch):
+    real = special.rr_product
+
+    def corrupted(which, order):
+        coeffs = list(real(which, order).coeffs)
+        coeffs[7] += 1
+        return FracQSeries(0, coeffs)
+
+    monkeypatch.setattr(special, "rr_product", corrupted)
+    monkeypatch.setattr(virasoro, "rr_product", corrupted)
+    cfg = RunConfig(order=40)
+    rr = {r.name: r for r in run_group("rr", cfg)}
+    for which in "GH":
+        for rule in ("gap", "congruence"):
+            rep = rr[f"rr.{which}_{rule}_counting"]
+            assert not rep.passed and rep.details == {"first_mismatch": 7}
+    ode = {r.name: r for r in run_group("ode", cfg)}
+    # q^a (q d/dq - E2/6) q d/dq - (11/3600) E4 acts on q^(a+7) by
+    # (a+7)^2 - (a+7)/6 - 11/3600, which is zero only at a+7 = -1/60 or 11/60
+    assert ode["ode.residual_G"].details == {"first_nonzero_exponent": "419/60"}
+    assert ode["ode.residual_H"].details == {"first_nonzero_exponent": "431/60"}
+    assert not ode["ode.residual_G"].passed and not ode["ode.residual_H"].passed
+
+
+def test_import_leaves_numpy_unloaded(tmp_path):
+    package_root = Path(qcft.__file__).resolve().parent.parent
+    env = {"PATH": "/usr/bin:/bin", "HOME": str(tmp_path), "PYTHONPATH": str(package_root)}
+    code = "import sys, qcft; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -- CLI -------------------------------------------------------------------------

@@ -159,6 +159,53 @@ def test_leibniz_rule(f, g):
     assert lhs == rhs
 
 
+# -- the int kernels against the Fraction schoolbook ----------------------------------
+
+def fraction_product(a, b):
+    n = min(len(a), len(b))
+    out = [F(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def fraction_inverse(a):
+    out = [1 / a[0]]
+    for m in range(1, len(a)):
+        out.append(-sum(a[k] * out[m - k] for k in range(1, m + 1)) / a[0])
+    return out
+
+
+mixed_rationals = st.builds(F, st.integers(-50, 50), st.sampled_from((1, 1, 2, 3, 7, 12, 60)))
+leading = st.sampled_from((F(1), F(-1), F(3, 7), F(-5), F(12, 5), F(-1, 60)))
+prefactors = st.fractions(min_value=-2, max_value=2, max_denominator=60)
+
+
+@st.composite
+def wide_series(draw, order=None):
+    n = draw(st.integers(1, 40)) if order is None else order
+    head = draw(leading)
+    tail = draw(st.lists(mixed_rationals, min_size=n - 1, max_size=n - 1))
+    return FracQSeries(draw(prefactors), [head] + tail)
+
+
+@given(wide_series(), wide_series())
+@settings(max_examples=80, deadline=None)
+def test_mul_matches_fraction_schoolbook(f, g):
+    h = f * g
+    assert h.prefactor == f.prefactor + g.prefactor
+    assert list(h.coeffs) == fraction_product(f.coeffs, g.coeffs)
+
+
+@given(wide_series())
+@settings(max_examples=80, deadline=None)
+def test_invert_matches_fraction_recurrence(f):
+    inv = f.invert()
+    assert inv.prefactor == -f.prefactor
+    assert list(inv.coeffs) == fraction_inverse(f.coeffs)
+
+
 def test_serialization_roundtrip_and_stability():
     f = poly(1, -2, F(3, 7), prefactor=F(-1, 60))
     rec = f.to_record()

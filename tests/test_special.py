@@ -6,9 +6,11 @@ import cmath
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcft.series import FracQSeries
-from qcft.special import (adaptive_cutoff, dedekind_eta, eisenstein, eta_eval,
+from qcft.special import (adaptive_cutoff, dedekind_eta, eisenstein, euler_product, eta_eval,
                           evaluate_series, rr_complement, rr_product)
 
 ORDER = 40
@@ -126,6 +128,26 @@ def test_rr_complement_is_reciprocal():
     g = rr_product("G", 20)
     comp = rr_complement("G", 20)
     assert g * comp == FracQSeries.one(20)
+
+
+# -- euler_product ------------------------------------------------------------------
+
+@given(st.lists(st.integers(1, 45), max_size=15), st.sampled_from((-1, 1)), st.booleans(),
+       st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_euler_product_matches_mul_sparse_chain(exponents, sign, invert, order):
+    chain = FracQSeries.one(order)
+    for e in exponents:
+        chain = chain.mul_sparse(e, sign)
+    expect = series_invert(chain.coeffs, order) if invert else list(chain.coeffs)
+    assert euler_product(exponents, sign, invert, order) == expect
+
+
+def test_euler_product_validation():
+    with pytest.raises(ValueError):
+        euler_product([1], -1, True, 0)
+    with pytest.raises(ValueError):
+        euler_product([0], -1, False, 5)
 
 
 # -- numerical evaluation -----------------------------------------------------------
