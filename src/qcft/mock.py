@@ -5,6 +5,10 @@ The remainder EG * eta^3 / theta_1^2 - 24 * mu is independent of z; sampling
 it on a horizontal tau-grid and Fourier-transforming yields the integer
 sequence (-2, 90, 462, 1540, 4554), reported as (-1, 45, 231, 770, 2277)
 after pulling out the overall scale 2.
+
+Every value comes from one numpy kernel that evaluates a whole array of tau
+at fixed z (numpy is imported inside it, so `import qcft` does not load it);
+the public functions of one point are one-element calls into it.
 """
 
 from __future__ import annotations
@@ -14,67 +18,130 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NotInUpperHalfPlane, RoundingUnstable, ThetaConstantVanishes,
-                     ThetaZeroDivision, ZDependenceDetected)
+from .errors import (RoundingUnstable, ThetaConstantVanishes, ThetaZeroDivision,
+                     ZDependenceDetected)
 from .series import rat_str
+from .special import check_tau, eta_values
 
 DEFAULT_Z_LIST = (0.17 + 0.04j, 0.36 - 0.03j, 0.45 + 0.07j)
+DEFAULT_CUTOFF = 24
 
 
 @dataclass(frozen=True)
 class JacobiPoint:
     z: complex
     tau: complex
-    cutoff: int = 24
+    cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self):
-        if self.tau.imag <= 0:
-            raise NotInUpperHalfPlane(f"Im(tau) = {self.tau.imag} <= 0")
+        check_tau(self.tau)
 
 
-def _theta_cutoff(tau: complex, target: float = 1e-16) -> int:
-    # terms decay like |q|^{n^2/2}; solve for the first negligible index
-    y = tau.imag
-    return max(6, int(math.ceil(math.sqrt(-2 * math.log(target) / (2 * math.pi * y)))) + 3)
+def _theta_cutoff(taus, floor: int, target: float = 1e-16) -> int:
+    # terms decay like |q|^{n^2/2}; solve for the first negligible index at the
+    # smallest Im tau, never go below the caller's floor, and round up to even
+    # (the kernel's table starts at an even integer)
+    y = float(taus.imag.min())
+    c = max(floor, 6, int(math.ceil(math.sqrt(-2 * math.log(target) / (2 * math.pi * y)))) + 3)
+    return c + c % 2
+
+
+def _thetas(zs, taus, cutoff: int):
+    """The exponent table of the four theta series and its sums, for each z of zs.
+
+    table[k, :, t] = exp(pi i m^2 tau_t + 2 pi i m zs[k]) over m from -c to
+    c + 3/2 in steps of 1/2, for an even cutoff c.  So the entries come in
+    fours: an even integer n, n + 1/2, the odd n + 1, n + 3/2.
+    theta_3 and theta_2 sum over integers and half-integers; theta_4 and
+    theta_1 weigh them by (-1)^floor(m).  Returns (table, thetas) with
+    thetas[i - 1][k] = theta_i(zs[k], tau).
+    """
+    import numpy as np
+    m = np.arange(-2 * cutoff, 2 * cutoff + 4) / 2
+    # built in place: the table is the largest array of a row
+    table = np.empty((len(zs), m.size, taus.size), dtype=complex)
+    np.multiply.outer(1j * np.pi * m * m, taus, out=table[0])
+    table[1:] = table[0]
+    table += 2j * np.pi * np.asarray(zs, dtype=complex)[:, None, None] * m[:, None]
+    np.exp(table, out=table)
+    parts = table.reshape(len(zs), cutoff + 1, 4, taus.size).sum(axis=1)
+    even, even_half, odd, odd_half = parts.transpose(1, 0, 2)
+    return table, (-1j * (even_half - odd_half), even_half + odd_half, even + odd, even - odd)
+
+
+def _theta1_guard(theta1, z) -> None:
+    import numpy as np
+    if np.any(np.abs(theta1) < 1e-14):
+        raise ThetaZeroDivision(f"theta_1({z}, tau) ~ 0")
+
+
+def _elliptic_genus(thetas):
+    """8 * sum_{i=2,3,4} (theta_i(z) / theta_i(0))^2 from the kernel's thetas at (z, 0)."""
+    import numpy as np
+    for i in (2, 3, 4):
+        if np.any(np.abs(thetas[i - 1][1]) < 1e-300):
+            raise ThetaConstantVanishes(f"theta_{i}(0, tau) ~ 0")
+    return 8 * sum((thetas[i - 1][0] / thetas[i - 1][1]) ** 2 for i in (2, 3, 4))
+
+
+def _mu(u: complex, v: complex, table_v, theta1_v, taus, cutoff: int):
+    """-i e^{pi i u} / theta_1(v) * sum_n (-1)^n q^{n(n+1)/2} y_v^n / (1 - q^n y_u).
+
+    The numerators are the half-integer entries of v's theta table, which
+    carry an extra q^{1/8} e^{pi i v}.  Where |q^n y_u| > 1 a term is divided
+    through by q^n y_u, so no power of q overflows; the pole guard reads the
+    denominator actually used.
+    """
+    import numpy as np
+    n = np.arange(-cutoff, cutoff + 2)   # as v's half-integer entries: n + 1/2
+    # in place, one (2c + 2, len(taus)) array beside denom: power = q^n y_u,
+    # or 1 / (q^n y_u) where flipped, and then the numerator factor
+    power = 2j * np.pi * (n[:, None] * taus + u)
+    flip = power.real > 0
+    np.negative(power, out=power, where=flip)
+    np.exp(power, out=power)
+    denom = 1 - power
+    bad = np.abs(denom) < 1e-12
+    if np.any(bad):
+        raise ThetaZeroDivision(f"pole 1 - q^{n[np.nonzero(bad)[0][0]]} y at z = {u}")
+    np.negative(power, out=power, where=flip)
+    power[~flip] = 1
+    power *= table_v[1::2]
+    power /= denom
+    total = power[0::2].sum(axis=0) - power[1::2].sum(axis=0)
+    return (-1j * cmath.exp(1j * math.pi * (u - v)) * np.exp(-2j * np.pi * taus / 8)
+            / theta1_v * total)
+
+
+def _remainder(z: complex, taus, kappa: complex):
+    """elliptic_genus * eta^3 / theta_1^2 - kappa * mu(z, z) at each tau of an array."""
+    cutoff = _theta_cutoff(check_tau(taus), DEFAULT_CUTOFF)
+    table, thetas = _thetas((z, 0), taus, cutoff)
+    theta1 = thetas[0][0]
+    _theta1_guard(theta1, z)
+    eg = _elliptic_genus(thetas)
+    return eg * eta_values(taus) ** 3 / theta1 ** 2 - kappa * _mu(z, z, table[0], theta1,
+                                                                  taus, cutoff)
+
+
+def _one(tau):
+    import numpy as np
+    return np.array([tau], dtype=complex)
 
 
 def jacobi_theta(i: int, p: JacobiPoint) -> complex:
     """theta_i(z, tau) by direct series summation, nome q = exp(2*pi*i*tau)."""
     if i not in (1, 2, 3, 4):
         raise ValueError("theta index must be 1..4")
-    z, tau = p.z, p.tau
-    cutoff = max(p.cutoff, _theta_cutoff(tau))
-    two_pi_i = 2j * math.pi
-    total = 0j
-    if i in (1, 2):
-        for n in range(-cutoff, cutoff + 1):
-            sign = -1 if (i == 1 and n % 2) else 1
-            half = n + 0.5
-            total += sign * cmath.exp(two_pi_i * (half * half / 2 * tau + half * z))
-        if i == 1:
-            total *= -1j
-    else:
-        for n in range(-cutoff, cutoff + 1):
-            sign = -1 if (i == 4 and n % 2) else 1
-            total += sign * cmath.exp(two_pi_i * (n * n / 2 * tau + n * z))
-    return total
+    taus = _one(p.tau)
+    return complex(_thetas((p.z,), taus, _theta_cutoff(taus, p.cutoff))[1][i - 1][0, 0])
 
 
 def elliptic_genus_k3(p: JacobiPoint) -> complex:
     """8 * sum_{i=2,3,4} (theta_i(z,tau) / theta_i(0,tau))^2 (holomorphic form)."""
-    total = 0j
-    for i in (2, 3, 4):
-        t0 = jacobi_theta(i, JacobiPoint(0.0, p.tau, p.cutoff))
-        if abs(t0) < 1e-300:
-            raise ThetaConstantVanishes(f"theta_{i}(0, tau) ~ 0")
-        tz = jacobi_theta(i, p)
-        total += (tz / t0) ** 2
-    return 8 * total
-
-
-def _eta3(tau: complex) -> complex:
-    from .special import eta_eval
-    return eta_eval(tau) ** 3
+    taus = _one(p.tau)
+    thetas = _thetas((p.z, 0), taus, _theta_cutoff(taus, p.cutoff))[1]
+    return complex(_elliptic_genus(thetas)[0])
 
 
 def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
@@ -87,21 +154,11 @@ def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
     """
     u = p.z
     v = u if z2 is None else z2
-    tau = p.tau
-    q = cmath.exp(2j * math.pi * tau)
-    yu = cmath.exp(2j * math.pi * u)
-    yv = cmath.exp(2j * math.pi * v)
-    theta = jacobi_theta(1, JacobiPoint(v, tau, p.cutoff))
-    if abs(theta) < 1e-14:
-        raise ThetaZeroDivision(f"theta_1({v}, tau) ~ 0")
-    cutoff = max(p.cutoff, _theta_cutoff(tau))
-    total = 0j
-    for n in range(-cutoff, cutoff + 1):
-        denom = 1 - q ** n * yu
-        if abs(denom) < 1e-12:
-            raise ThetaZeroDivision(f"pole 1 - q^{n} y at z = {u}")
-        total += (-1) ** n * q ** (n * (n + 1) // 2) * yv ** n / denom
-    return -1j * cmath.exp(1j * math.pi * u) / theta * total
+    taus = _one(p.tau)
+    cutoff = _theta_cutoff(taus, p.cutoff)
+    table, thetas = _thetas((v,), taus, cutoff)
+    _theta1_guard(thetas[0][0], v)
+    return complex(_mu(u, v, table[0], thetas[0][0], taus, cutoff)[0])
 
 
 @dataclass(frozen=True)
@@ -126,12 +183,7 @@ class MockCoefficients:
 
 def mock_remainder(z: complex, tau: complex, kappa: complex = 24) -> complex:
     """elliptic_genus * eta^3 / theta_1^2 - kappa * mu at one point."""
-    p = JacobiPoint(z, tau)
-    theta1 = jacobi_theta(1, p)
-    if abs(theta1) < 1e-14:
-        raise ThetaZeroDivision(f"theta_1({z}, tau) ~ 0")
-    return (elliptic_genus_k3(p) * _eta3(tau) / theta1 ** 2
-            - kappa * appell_lerch_mu(p))
+    return complex(_remainder(z, _one(tau), kappa)[0])
 
 
 def extract_mock_coefficients(y0: float = 0.3,
@@ -147,7 +199,7 @@ def extract_mock_coefficients(y0: float = 0.3,
     per mode, rounds to integers, and factors out the scale making the
     leading entry -1.
     """
-    import numpy as np  # qcft's only numpy use: imported here, `import qcft` does not load it
+    import numpy as np
 
     if not (0.15 <= y0 <= 0.5):
         raise ValueError("y0 outside [0.15, 0.5]")
@@ -156,14 +208,9 @@ def extract_mock_coefficients(y0: float = 0.3,
     if len(set(z_list)) < 3:
         raise ValueError("need at least 3 distinct z values")
 
-    rows = []
-    for z in z_list:
-        samples = np.empty(grid, dtype=complex)
-        for j in range(grid):
-            tau = j / grid + 1j * y0
-            phase = cmath.exp(2j * math.pi * tau / 8)  # q^{1/8}
-            samples[j] = phase * mock_remainder(z, tau, kappa)
-        rows.append(samples)
+    taus = np.arange(grid) / grid + 1j * y0
+    q_eighth = np.exp(2j * np.pi * taus / 8)
+    rows = [q_eighth * _remainder(z, taus, kappa) for z in z_list]
 
     max_dev = 0.0
     for a in range(len(rows)):

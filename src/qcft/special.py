@@ -1,9 +1,10 @@
 """Named modular objects: Dedekind eta, Eisenstein series, Rogers-Ramanujan products.
 
 Exact constructors return FracQSeries, and every Euler product among them is
-expanded over ints by euler_product; eta_eval and evaluate_series are the
-numeric consumers (q = exp(2*pi*i*tau) throughout, cutoffs chosen so the first
-neglected term is below 1e-15).
+expanded over ints by euler_product.  The numeric side evaluates at
+q = exp(2*pi*i*tau): check_tau is the one validator of tau, q_product the one
+numeric Euler product (numpy, over an array of tau, imported lazily), with
+cutoffs chosen so the first neglected term is below 1e-15.
 """
 
 from __future__ import annotations
@@ -82,31 +83,56 @@ def rr_complement(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     return FracQSeries(0, euler_product(_rr_parts(which, order), -1, False, order))
 
 
+def check_tau(tau):
+    """tau itself if it is finite with Im(tau) > 0, else NotInUpperHalfPlane.
+
+    tau may be a complex or a numpy array of them; an array passes only when
+    every entry does.
+    """
+    import numpy as np
+    if isinstance(tau, np.ndarray):
+        ok = np.isfinite(tau).all() and (tau.imag > 0).all()
+    else:   # the one-point calls: the same rule without numpy's per-call overhead
+        ok = cmath.isfinite(tau) and tau.imag > 0
+    if not ok:
+        raise NotInUpperHalfPlane(f"tau = {tau}: need a finite tau with Im(tau) > 0")
+    return tau
+
+
 def _nome(tau: complex) -> complex:
-    if tau.imag <= 0:
-        raise NotInUpperHalfPlane(f"Im(tau) = {tau.imag} <= 0")
-    return cmath.exp(2j * math.pi * tau)
+    return cmath.exp(2j * math.pi * check_tau(tau))
 
 
-def adaptive_cutoff(tau: complex, target: float = 1e-15) -> int:
-    """Smallest n with |q|^n < target, floored at 8 terms."""
-    y = tau.imag
-    if y <= 0:
-        raise NotInUpperHalfPlane(f"Im(tau) = {y} <= 0")
+def adaptive_cutoff(tau, target: float = 1e-15) -> int:
+    """Smallest n with |q|^n < target at every tau given, floored at 8 terms."""
+    import numpy as np
+    y = float(np.min(check_tau(tau).imag))
     return max(8, int(math.ceil(-math.log(target) / (2 * math.pi * y))) + 1)
+
+
+def q_product(tau, sign: int, cutoff: int | None = None):
+    """prod_{n=1}^{cutoff} (1 + sign q^n) at each tau of an array (or at one tau).
+
+    One np.prod over the table q^n = exp(2 pi i n tau); the default cutoff is
+    adaptive_cutoff at the smallest Im tau, so every entry is converged.
+    """
+    import numpy as np
+    check_tau(tau)
+    if cutoff is None:
+        cutoff = adaptive_cutoff(tau)
+    n = np.arange(1, cutoff + 1)
+    return np.multiply.reduce(1 + sign * np.exp(2j * np.pi * np.multiply.outer(n, tau)))
+
+
+def eta_values(tau, cutoff: int | None = None):
+    """Numeric eta = q^{1/24} prod_{n<=cutoff} (1 - q^n) at each tau of an array."""
+    import numpy as np
+    return np.exp(2j * np.pi * check_tau(tau) / 24) * q_product(tau, -1, cutoff)
 
 
 def eta_eval(tau: complex, cutoff: int | None = None) -> complex:
     """Numeric eta(tau) = q^{1/24} prod_{n<=cutoff} (1 - q^n)."""
-    q = _nome(tau)
-    if cutoff is None:
-        cutoff = adaptive_cutoff(tau)
-    value = cmath.exp(2j * math.pi * tau / 24)
-    qn = 1.0 + 0j
-    for _ in range(cutoff):
-        qn *= q
-        value *= 1 - qn
-    return value
+    return complex(eta_values(tau, cutoff))
 
 
 def evaluate_series(f: FracQSeries, tau: complex) -> complex:

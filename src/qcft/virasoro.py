@@ -19,6 +19,8 @@ from .series import DEFAULT_ORDER, FracQSeries
 from .special import eisenstein, evaluate_series, rr_product
 
 MAX_GRAM_LEVEL = 6
+# cofactor expansion is O(n!): dimension 7 (level 5) takes about 1.3 s, 11 (level 6) never ends
+MAX_DETERMINANT_DIMENSION = 7
 
 
 def bracket(m: int, n: int) -> tuple[int, Fraction]:
@@ -198,8 +200,12 @@ class VermaGram:
         return len(self.basis)
 
     def determinant(self) -> PolyCH:
-        """Exact determinant by cofactor expansion (dimensions here are small)."""
+        """Exact determinant by cofactor expansion, for dimensions up to
+        MAX_DETERMINANT_DIMENSION (LevelTooLarge above it)."""
         n = self.dimension
+        if n > MAX_DETERMINANT_DIMENSION:
+            raise LevelTooLarge(f"level {self.level} Gram matrix has dimension {n} > "
+                                f"{MAX_DETERMINANT_DIMENSION}; its determinant is out of reach")
         if n == 0:
             return PolyCH.const(1)
 

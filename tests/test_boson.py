@@ -108,6 +108,27 @@ def test_equal_masses_give_unity():
     assert continuum_determinant_ratio((1.0, 2.0), 0.7, 0.7) == 1.0
 
 
+def continuum_ratio_full_sum(lengths, m1, m2, cutoff):
+    """The full (2c+1)^2 double loop over -c <= j, k <= c."""
+    l1, l2 = lengths
+    log_ratio = 0.0
+    for j in range(-cutoff, cutoff + 1):
+        wj = (2 * math.pi * j / l1) ** 2
+        for k in range(-cutoff, cutoff + 1):
+            lam = wj + (2 * math.pi * k / l2) ** 2
+            log_ratio += math.log((lam + m1 * m1) / (lam + m2 * m2))
+    return math.exp(log_ratio)
+
+
+def test_continuum_quarter_sum_matches_full_sum():
+    for cutoff in (16, 64):
+        for lengths in ((1.0, 1.0), (1.0, 2.0)):
+            for m1, m2 in ((1.0, 2.0), (0.5, 3.0)):
+                want = continuum_ratio_full_sum(lengths, m1, m2, cutoff)
+                got = continuum_determinant_ratio(lengths, m1, m2, cutoff)
+                assert abs(got - want) <= 1e-12 * want
+
+
 def test_mass_monotonicity():
     spec = LatticeSpec((24, 24))
     assert lattice_determinant_ratio(spec, 2.0, 1.0) > 1.0

@@ -1,16 +1,22 @@
 """Theta functions, the K3 elliptic genus, the Appell-Lerch sum, and the
-integer mock-modular coefficients.  Theta oracles are classical identities;
-the mu function is pinned by its quasi-periodicity in both arguments."""
+integer mock-modular coefficients.  Theta oracles are classical identities
+and mpmath at 30 digits; the mu function is pinned by its quasi-periodicity
+in both arguments and by its defining sum evaluated in mpmath."""
 
 import cmath
 import math
+import random
 
+import mpmath
+import numpy as np
 import pytest
 
-from qcft.errors import (NotInUpperHalfPlane, RoundingUnstable, ThetaZeroDivision,
-                         ZDependenceDetected)
+from qcft import mock
+from qcft.errors import (NotInUpperHalfPlane, RoundingUnstable, ThetaConstantVanishes,
+                         ThetaZeroDivision, ZDependenceDetected)
 from qcft.mock import (DEFAULT_Z_LIST, JacobiPoint, appell_lerch_mu, elliptic_genus_k3,
                        extract_mock_coefficients, jacobi_theta, mock_remainder)
+from qcft.special import eta_eval
 
 TAU = 0.13 + 0.78j
 
@@ -56,9 +62,10 @@ def test_theta1_derivative_eta_cubed():
 def test_theta_cutoff_doubling():
     z = 0.29 + 0.08j
     for i in (1, 2, 3, 4):
-        a = jacobi_theta(i, JacobiPoint(z, TAU, cutoff=12))
-        b = jacobi_theta(i, JacobiPoint(z, TAU, cutoff=48))
-        assert abs(a - b) < 1e-14 * max(abs(a), 1.0)
+        for cutoff in (12, 13):
+            a = jacobi_theta(i, JacobiPoint(z, TAU, cutoff=cutoff))
+            b = jacobi_theta(i, JacobiPoint(z, TAU, cutoff=48))
+            assert abs(a - b) < 1e-14 * max(abs(a), 1.0)
 
 
 def test_theta_index_validation():
@@ -126,9 +133,10 @@ def test_mu_rejects_theta_zero():
 
 def test_mu_cutoff_doubling():
     u, v = 0.22 + 0.03j, 0.38 - 0.02j
-    a = appell_lerch_mu(JacobiPoint(u, TAU, cutoff=16), z2=v)
-    b = appell_lerch_mu(JacobiPoint(u, TAU, cutoff=64), z2=v)
-    assert abs(a - b) < 1e-13 * abs(a)
+    for cutoff in (16, 17):
+        a = appell_lerch_mu(JacobiPoint(u, TAU, cutoff=cutoff), z2=v)
+        b = appell_lerch_mu(JacobiPoint(u, TAU, cutoff=64), z2=v)
+        assert abs(a - b) < 1e-13 * abs(a)
 
 
 # -- remainder and extraction ------------------------------------------------------------
@@ -179,3 +187,99 @@ def test_extraction_record():
     rec = extract_mock_coefficients(n_terms=3).to_record()
     assert rec["scale"] == "2/1"
     assert rec["values"] == [-1, 45, 231]
+
+
+# -- the vectorized kernel -------------------------------------------------------------
+
+def mp_nome_and_branch(tau):
+    """qcft's q^{1/4} = e^{pi i tau / 4} over mpmath's principal root of e^{pi i tau}."""
+    nome = mpmath.exp(1j * mpmath.pi * tau)
+    return nome, mpmath.exp(1j * mpmath.pi * tau / 4) / mpmath.exp(mpmath.log(nome) / 4)
+
+
+def mp_theta(i, z, tau):
+    nome, branch = mp_nome_and_branch(tau)
+    value = mpmath.jtheta(i, mpmath.pi * z, nome)
+    return value * branch if i < 3 else value
+
+
+def mp_mu(u, v, tau):
+    """mu(u, v) by its defining sum, until |q|^{n^2/2} < 1e-35, over mpmath's theta_1."""
+    q = mpmath.exp(2j * mpmath.pi * tau)
+    yu, yv = mpmath.exp(2j * mpmath.pi * u), mpmath.exp(2j * mpmath.pi * v)
+    cutoff = int(math.sqrt(2 * 35 * math.log(10) / (2 * math.pi * tau.imag))) + 8
+    total = mpmath.fsum((-1) ** n * q ** (n * (n + 1) // 2) * yv ** n / (1 - q ** n * yu)
+                        for n in range(-cutoff, cutoff + 1))
+    return -1j * mpmath.exp(1j * mpmath.pi * u) / mp_theta(1, v, tau) * total
+
+
+def seeded_points(count, seed):
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        tau = complex(rng.uniform(-1.5, 1.5), math.exp(rng.uniform(math.log(0.05), math.log(3))))
+        u, v = (rng.uniform(0.1, 0.9) + rng.uniform(-0.3, 0.3) * tau for _ in range(2))
+        points.append((tau, u, v))
+    return points
+
+
+def assert_relative(got, want, rel, label):
+    want = complex(want)
+    assert abs(got - want) <= rel * abs(want), (label, got, want)
+
+
+def test_kernel_against_mpmath():
+    with mpmath.workdps(30):
+        for tau, u, v in seeded_points(40, 2002):
+            for i in (1, 2, 3, 4):
+                assert_relative(jacobi_theta(i, JacobiPoint(u, tau)), mp_theta(i, u, tau),
+                                1e-10, (i, tau, u))
+            assert_relative(eta_eval(tau), mpmath.eta(tau), 1e-10, ("eta", tau))
+            assert_relative(mu(u, v, tau), mp_mu(u, v, tau), 1e-10, ("mu", tau, u, v))
+
+
+def test_kernel_row_equals_points():
+    # Im tau varies along the row, so the row's cutoff (set by its smallest
+    # Im tau) is larger than most single points' own
+    taus = np.linspace(-0.5, 0.5, 17) + 1j * np.linspace(0.1, 1.0, 17)
+    z = 0.31 + 0.05j
+    row = mock._remainder(z, taus, 24)
+    table, thetas = mock._thetas((z,), taus, mock._theta_cutoff(taus, 24))
+    for k, tau in enumerate(taus):
+        point = mock_remainder(z, tau)
+        assert abs(row[k] - point) <= 1e-13 * abs(point)
+        for i in (1, 2, 3, 4):
+            point = jacobi_theta(i, JacobiPoint(z, tau))
+            assert abs(thetas[i - 1][0, k] - point) <= 1e-13 * abs(point)
+
+
+def test_kernel_guards_raise_on_rows():
+    taus = np.arange(64) / 64 + 0.3j
+    with pytest.raises(ThetaZeroDivision):
+        mock._remainder(0.0, taus, 24)
+    with pytest.raises(ThetaZeroDivision):
+        extract_mock_coefficients(z_list=(0.0, 0.2 + 0.01j, 0.3))
+    with pytest.raises(NotInUpperHalfPlane):
+        mock._remainder(0.2, np.append(taus, 0.5 - 0.1j), 24)
+
+
+def test_mu_pole_guard():
+    with pytest.raises(ThetaZeroDivision, match="pole"):
+        mu(0.0, 0.3)            # 1 - q^0 y_u = 0
+    with pytest.raises(ThetaZeroDivision, match="pole"):
+        mu(TAU, 0.3)            # 1 - q^-1 y_u = 0
+
+
+def test_theta_constant_guard():
+    with pytest.raises(ThetaConstantVanishes):
+        elliptic_genus_k3(JacobiPoint(0.2, 1000j))   # theta_2(0) ~ q^{1/8} underflows
+
+
+def test_large_imaginary_tau():
+    # q^n y_u for n = -24 would reach |q|^-24 = e^{2 pi 24 Im tau}: past the
+    # float range from Im tau ~ 4.7, so those terms are divided through by it
+    tau = 0.3 + 7.0j
+    with mpmath.workdps(30):
+        assert_relative(mu(0.2 + 0.1j, 0.4, tau), mp_mu(0.2 + 0.1j, 0.4, tau), 1e-10, tau)
+    vals = [mock_remainder(z, tau) for z in DEFAULT_Z_LIST]
+    assert max(abs(a - vals[0]) for a in vals) < 1e-9 * abs(vals[0])

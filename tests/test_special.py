@@ -3,12 +3,16 @@ independently coded brute-force oracles (plain integer convolution, divisor
 enumeration, partition enumeration)."""
 
 import cmath
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcft import boson, mock, special, virasoro
+from qcft.errors import NotInUpperHalfPlane
 from qcft.series import FracQSeries
 from qcft.special import (adaptive_cutoff, dedekind_eta, eisenstein, euler_product, eta_eval,
                           evaluate_series, rr_complement, rr_product)
@@ -175,3 +179,52 @@ def test_eta_translation():
 
 def test_adaptive_cutoff_grows_near_real_axis():
     assert adaptive_cutoff(0.1 + 0.05j) > adaptive_cutoff(0.1 + 2.0j)
+
+
+def test_q_product_matches_sequential_product():
+    # the loop eta_eval and the twisted trace ran before one np.prod replaced them
+    for tau in (0.11 + 0.92j, -1.3 + 0.06j, 0.5 + 2.5j):
+        for sign in (-1, 1):
+            cutoff = adaptive_cutoff(tau)
+            q, qn, prod = cmath.exp(2j * cmath.pi * tau), 1.0 + 0j, 1.0 + 0j
+            for _ in range(cutoff):
+                qn *= q
+                prod *= 1 + sign * qn
+            got = complex(special.q_product(tau, sign))
+            assert abs(got - prod) < 1e-13 * abs(prod)
+
+
+def test_array_cutoff_follows_smallest_imaginary_part():
+    taus = np.array([0.2 + 1.5j, -0.4 + 0.07j, 0.9 + 0.6j])
+    assert adaptive_cutoff(taus) == adaptive_cutoff(-0.4 + 0.07j)
+    row = special.eta_values(taus)
+    for tau, value in zip(taus, row):
+        assert abs(value - eta_eval(tau)) < 1e-14 * abs(value)
+
+
+BAD_TAUS = [0.3 + 0j, 0.3 - 0.4j, complex(0.1, math.nan), complex(math.nan, 0.5),
+            complex(0.1, math.inf), complex(math.inf, 0.5)]
+
+NUMERIC_ENTRY_POINTS = {
+    "check_tau": special.check_tau,
+    "adaptive_cutoff": adaptive_cutoff,
+    "q_product": lambda t: special.q_product(t, 1),
+    "eta_values": special.eta_values,
+    "eta_eval": eta_eval,
+    "evaluate_series": lambda t: evaluate_series(dedekind_eta(8), t),
+    "JacobiPoint": lambda t: mock.JacobiPoint(0.2, t),
+    "mock_remainder": lambda t: mock.mock_remainder(0.2, t),
+    "kernel row": lambda t: mock._remainder(0.2, np.array([0.1 + 0.5j, t]), 24),
+    "TorusModulus": boson.TorusModulus,
+    "theta_lattice_sum": lambda t: boson.theta_lattice_sum(1.0, t),
+    "boson_partition_function": lambda t: boson.boson_partition_function(1.0, t),
+    "twisted_boson_partition_function": boson.twisted_boson_partition_function,
+    "torus_partition_function_25": lambda t: virasoro.torus_partition_function_25(t, 24),
+}
+
+
+@pytest.mark.parametrize("tau", BAD_TAUS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
+def test_numeric_entry_points_reject_bad_tau(entry, tau):
+    with pytest.raises(NotInUpperHalfPlane):
+        NUMERIC_ENTRY_POINTS[entry](tau)

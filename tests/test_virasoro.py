@@ -147,6 +147,20 @@ def test_gram_level_bounds():
         gram_matrix(7)
 
 
+def test_determinant_dimension_guard():
+    # level 6 has dimension p(6) = 11, past what cofactor expansion finishes;
+    # the vacuum module at level 6 (parts >= 2) has dimension 4 and still computes
+    with pytest.raises(LevelTooLarge):
+        gram_matrix(6).determinant()
+    g = gram_matrix(6, vacuum=True)
+    assert g.dimension == 4
+    det = g.determinant()
+    for c0 in (F(1, 2), F(-22, 5), F(7, 3)):
+        m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                          for row in g.evaluate(c0, F(0))])
+        assert det.evaluate(c0, F(0)) == F(*sympy.fraction(m.det()))
+
+
 def test_gram_record_roundtrip_shape():
     rec = gram_matrix(4, vacuum=True).to_record()
     assert rec["basis"] == [[4], [2, 2]]
