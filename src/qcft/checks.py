@@ -101,20 +101,27 @@ def check_casimir(cfg: RunConfig,
 
 # -- Rogers-Ramanujan / Andrews-Gordon -----------------------------------------------
 
+def _first_mismatch(a, b, n_max: int) -> int | None:
+    return next((i for i in range(n_max + 1) if a[i] != b[i]), None)
+
+
 def check_rr(cfg: RunConfig) -> list[CheckReport]:
+    """Products against the counting DPs to n_max, DPs against the enumerator to 60."""
     n = cfg.order - 1
+    m = min(n, partitions.ENUMERATION_LIMIT)
     out = []
     for which, min_part, residues in (("G", 1, {1, 4}), ("H", 2, {2, 3})):
         product = special.rr_product(which, n + 1)
-        gaps = partitions.count_partitions(
-            n, partitions.PartitionConstraint(min_part=min_part, min_gap=2))
-        congr = partitions.count_partitions(
-            n, partitions.PartitionConstraint(allowed_residues=frozenset(residues),
-                                              modulus=5))
-        for rule, counts in (("gap", gaps), ("congruence", congr)):
-            first = next((i for i in range(n + 1) if product.coeffs[i] != counts[i]), None)
-            out.append(_located(f"rr.{which}_{rule}_counting", {"n_max": n},
-                                "first_mismatch", first))
+        for rule, c in (("gap", partitions.PartitionConstraint(min_part=min_part, min_gap=2)),
+                        ("congruence", partitions.PartitionConstraint(
+                            allowed_residues=frozenset(residues), modulus=5))):
+            counts = partitions.count_partitions(n, c)
+            out.append(_located(f"rr.{which}_{rule}_counting", {"n_max": n}, "first_mismatch",
+                                _first_mismatch(product.coeffs, counts, n)))
+            oracle = partitions._enumerate_counts(m, c)
+            out.append(_located("rr.partition_oracle",
+                                {"which": which, "rule": rule, "n_max": m},
+                                "first_mismatch", _first_mismatch(oracle, counts, m)))
     for k in (2, 3, 4):
         for i in range(1, k + 1):
             rep = partitions.gordon_check(k, i, 60)

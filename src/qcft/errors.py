@@ -11,7 +11,7 @@ class NonAlignablePrefactor(QcftError):
     """Sum of two series whose prefactor exponents differ by a non-integer."""
 
 
-class NonUnitLeadingCoefficient(QcftError):
+class ZeroLeadingCoefficient(QcftError):
     """Inversion of a series whose leading coefficient vanishes."""
 
 

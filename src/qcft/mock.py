@@ -207,6 +207,8 @@ def extract_mock_coefficients(y0: float = 0.3,
         raise ValueError("grid must be a power of two >= 64")
     if len(set(z_list)) < 3:
         raise ValueError("need at least 3 distinct z values")
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
 
     taus = np.arange(grid) / grid + 1j * y0
     q_eighth = np.exp(2j * np.pi * taus / 8)

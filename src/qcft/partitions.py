@@ -1,11 +1,11 @@
 """Partition counting: gap rules, congruence rules, Andrews-Gordon windows.
 
-The library counts by two iterative dynamic programs: a table over the
-smallest allowed part for the gap and congruence rules, and a multiplicity DP
-over part values for the window rule.  One backtracking enumerator applies the
-raw definition to explicit part lists; it is the oracle, used up to n = 60.
-count_partitions runs both and refuses to return if they disagree.  The
-Andrews-Gordon identity is checked by two independent DPs, one on each side.
+The library counts by two iterative dynamic programs, run alone by
+count_partitions: a table over the smallest allowed part for the gap and
+congruence rules, and a multiplicity DP over part values for the window rule.
+One backtracking enumerator applies the raw definition to explicit part lists;
+it is the oracle, which the rr.partition_oracle records compare with the DP to
+n = 60.  Two independent DPs check the Andrews-Gordon identity, one per side.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ class PartitionConstraint:
     """Rules a partition (weakly decreasing part list) must satisfy.
 
     min_gap g requires consecutive parts to differ by at least g; the
-    window rule (k, gap) requires b_j - b_{j+k-1} >= gap for 1-indexed
-    positions.  At most one of the two may be active.  allowed_residues
-    restricts parts to given residues mod `modulus`.  max_ones caps the
-    number of parts equal to 1.
+    window rule (k, 2), the only window gap supported, requires
+    b_j - b_{j+k-1} >= 2 for 1-indexed positions.  At most one of the two
+    may be active.  allowed_residues restricts parts to given residues mod
+    `modulus`.  max_ones caps the number of parts equal to 1.
     """
 
     min_part: int = 1
@@ -48,8 +48,8 @@ class PartitionConstraint:
             raise ValueError("allowed_residues and modulus must be given together")
         if self.min_part < 1 or self.min_gap < 0:
             raise ValueError("need min_part >= 1 and min_gap >= 0")
-        if self.window is not None and self.window[0] < 1:
-            raise ValueError("a window spans at least one part")
+        if self.window is not None and (self.window[0] < 1 or self.window[1] != 2):
+            raise ValueError("a window (k, 2) needs k >= 1; no other gap is supported")
         if self.max_ones is not None and self.max_ones < 0:
             raise ValueError("max_ones must be >= 0")
         if self.allowed_residues is not None:
@@ -162,16 +162,13 @@ def _dp_counts(n_max: int, c: PartitionConstraint) -> list[int]:
 
 
 def _dp_window(n_max: int, c: PartitionConstraint) -> list[int]:
-    """Multiplicity DP for the window rule (k, gap) with gap = 2.
+    """Multiplicity DP for the window rule (k, 2).
 
     b_j - b_{j+k-1} >= 2 is equivalent to f_v + f_{v+1} <= k - 1 for the
     multiplicities f_v of each value v.  Values are taken in increasing
     order; the state is (multiplicity of the previous value, total).
     """
-    k, gap = c.window
-    if gap != 2:
-        raise NotImplementedError("window DP implemented for gap = 2 only")
-    top = k - 1
+    top = c.window[0] - 1
     zero = [0] * (n_max + 1)
     # layer[f][t]: multiplicities of the values so far, f copies of the last one, sum t
     layer = [[1] + [0] * n_max] + [zero] * top
@@ -194,17 +191,11 @@ def _dp_window(n_max: int, c: PartitionConstraint) -> list[int]:
 
 
 def count_partitions(n_max: int, c: PartitionConstraint) -> CountTable:
-    """Counts for 0 <= n <= n_max; enumeration and DP cross-checked to n = 60."""
+    """Counts for 0 <= n <= n_max by the DP alone; the enumeration oracle runs
+    only in checks.check_rr, as the rr.partition_oracle records."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    dp = _dp_counts(n_max, c)
-    check_to = min(n_max, ENUMERATION_LIMIT)
-    enum = _enumerate_counts(check_to, c)
-    for n in range(check_to + 1):
-        if dp[n] != enum[n]:
-            raise RuntimeError(
-                f"oracle disagreement at n={n}: enumeration {enum[n]}, dp {dp[n]}")
-    return CountTable(dp)
+    return CountTable(_dp_counts(n_max, c))
 
 
 # -- unrestricted p(n) ---------------------------------------------------------

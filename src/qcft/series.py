@@ -14,7 +14,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import ExponentOutOfRange, NonAlignablePrefactor, NonUnitLeadingCoefficient
+from .errors import ExponentOutOfRange, NonAlignablePrefactor, ZeroLeadingCoefficient
 
 #: Default truncation order: coefficients through q^(a+200).
 DEFAULT_ORDER = 201
@@ -165,7 +165,7 @@ class FracQSeries:
         h_m = -sum_{k>=1} a_k a_0^(k-1) h_{m-k}, so that (1/f)_m = d h_m / a_0^(m+1).
         """
         if self.coeffs[0] == 0:
-            raise NonUnitLeadingCoefficient("leading coefficient is zero")
+            raise ZeroLeadingCoefficient("leading coefficient is zero")
         a, d = _int_numerators(self.coeffs)
         a0 = a[0]
         w = [a[k] * a0 ** (k - 1) for k in range(1, self.order)]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qcft
-from qcft import special, virasoro
+from qcft import partitions, special, virasoro
 from qcft.checks import GROUPS, run_all, run_group
 from qcft.cli import _parse_progressions, build_parser, main
 from qcft.config import RunConfig, load_config
@@ -134,8 +134,17 @@ def test_golden_exact_is_strict(tmp_path):
 
 
 def test_exact_report_matches_pinned_golden():
-    # the exact-only report holds only rationals, so its bytes are the same on any machine
-    assert reports_to_bytes(run_all(RunConfig(exact_only=True))) == GOLDEN_EXACT.read_bytes()
+    # the exact-only report holds only rationals, so its bytes are the same on any machine;
+    # the additive rr.partition_oracle records are checked apart, every other record of the
+    # pinned file must be present and unchanged
+    reports = run_all(RunConfig(exact_only=True))
+    oracle = [r for r in reports if r.name == "rr.partition_oracle"]
+    rest = [r for r in reports if r.name != "rr.partition_oracle"]
+    assert reports_to_bytes(rest) == GOLDEN_EXACT.read_bytes()
+    assert len(oracle) == 4
+    assert {(r.params["which"], r.params["rule"]) for r in oracle} == {
+        (w, rule) for w in "GH" for rule in ("gap", "congruence")}
+    assert all(r.passed and r.params["n_max"] == 60 and r.details is None for r in oracle)
 
 
 def test_failing_exact_checks_say_where(monkeypatch):
@@ -160,6 +169,20 @@ def test_failing_exact_checks_say_where(monkeypatch):
     assert ode["ode.residual_G"].details == {"first_nonzero_exponent": "419/60"}
     assert ode["ode.residual_H"].details == {"first_nonzero_exponent": "431/60"}
     assert not ode["ode.residual_G"].passed and not ode["ode.residual_H"].passed
+
+
+def test_failing_partition_oracle_says_where(monkeypatch):
+    real = partitions._dp_counts
+
+    def off_by_one(n_max, c):
+        counts = real(n_max, c)
+        counts[7] += 1
+        return counts
+
+    monkeypatch.setattr(partitions, "_dp_counts", off_by_one)
+    oracle = [r for r in run_group("rr", RunConfig(order=40)) if r.name == "rr.partition_oracle"]
+    assert len(oracle) == 4
+    assert all(not r.passed and r.details == {"first_mismatch": 7} for r in oracle)
 
 
 def test_import_leaves_numpy_unloaded(tmp_path):
@@ -245,6 +268,12 @@ def test_mock_terms_flag(capsys):
     records = json.loads(capsys.readouterr().out)
     ext = [r for r in records if "values" in (r.get("details") or {})]
     assert ext and ext[0]["details"]["values"] == [-1, 45, 231, 770]
+
+
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_mock_terms_must_be_positive(capsys, terms):
+    assert main(["mock", "--terms", terms, *ORDER_ARGS]) == 2
+    assert capsys.readouterr().err.startswith("qcft: ")
 
 
 def test_run_group_unknown():

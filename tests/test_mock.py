@@ -181,6 +181,9 @@ def test_extraction_argument_validation():
         extract_mock_coefficients(grid=100)
     with pytest.raises(ValueError):
         extract_mock_coefficients(z_list=(0.2, 0.2, 0.2))
+    for n_terms in (0, -3):
+        with pytest.raises(ValueError):
+            extract_mock_coefficients(n_terms=n_terms)
 
 
 def test_extraction_record():

@@ -1,7 +1,8 @@
-"""Restricted partition counting: the DP is cross-checked internally against a
-backtracking enumeration; here we add frozen values, a third independent oracle
-for the unrestricted count, both Andrews-Gordon sides against the enumerator,
-a property test of the enumerator and the DPs, and the asymptotic growth probe."""
+"""Restricted partition counting: count_partitions runs the DP alone, so the
+cross-checks are explicit here: frozen values, the unrestricted DP against the
+pentagonal recurrence and the product expansion to n = 100, both Andrews-Gordon
+sides against the backtracking enumerator, a property test of the enumerator
+and the DPs, and the asymptotic growth probe."""
 
 import math
 from functools import cache
@@ -10,17 +11,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcft import partitions
 from qcft.errors import ConflictingConstraint
 from qcft.partitions import (ENUMERATION_LIMIT, GORDON_LIMIT, PartitionConstraint,
                              _dp_counts, _dp_window, _enumerate_counts, _gordon_constraints,
                              count_partitions, gordon_check, growth_probe, unrestricted_p)
 
 GORDON_SHAPES = [(k, i) for k in (2, 3, 4) for i in range(1, k + 1)]
+# the four constraints the rr report counts with: G and H, gap and congruence
+REPORT_CONSTRAINTS = [
+    PartitionConstraint(min_gap=2),
+    PartitionConstraint(min_part=2, min_gap=2),
+    PartitionConstraint(allowed_residues=frozenset({1, 4}), modulus=5),
+    PartitionConstraint(allowed_residues=frozenset({2, 3}), modulus=5),
+]
 
 
 @pytest.fixture(scope="module")
 def unrestricted_table():
-    # one pass; the call itself exercises the internal enumeration cross-check
+    # the DP alone; checked against the pentagonal recurrence and the product
+    # expansion to n = 100 below
     return count_partitions(100, PartitionConstraint())
 
 
@@ -69,12 +79,13 @@ def test_residues_normalized_mod_modulus():
 
 
 def test_window_counts_match_enumeration_definition():
-    # the internal cross-check runs automatically; pin a known value too
-    table = count_partitions(15, PartitionConstraint(window=(3, 2)))
+    c = PartitionConstraint(window=(3, 2))
+    table = count_partitions(15, c)
+    assert table.values == _enumerate_counts(15, c)
     raw = count_partitions(15, PartitionConstraint(min_gap=2))
     # k=2 window equals the plain gap rule
     pair = count_partitions(15, PartitionConstraint(window=(2, 2)))
-    assert pair.values == raw.values
+    assert pair.values == raw.values == _enumerate_counts(15, PartitionConstraint(window=(2, 2)))
     assert all(table[n] >= raw[n] for n in range(16))
 
 
@@ -92,13 +103,25 @@ def test_constraint_validation():
         PartitionConstraint(min_part=0)
     with pytest.raises(ValueError):
         PartitionConstraint(window=(0, 2))
+    for gap in (0, 1, 3):
+        with pytest.raises(ValueError):
+            PartitionConstraint(window=(3, gap))
     assert PartitionConstraint(max_ones=0).parts_valid([3, 2])
     assert not PartitionConstraint(max_ones=1).parts_valid([3, 1, 1])
 
 
 def test_enumeration_cross_check_scope():
-    # guard threshold itself is part of the contract
+    # the oracle range of the rr.partition_oracle records is part of the contract
     assert ENUMERATION_LIMIT == 60
+
+
+def test_count_partitions_never_enumerates(monkeypatch):
+    def refuse(n_max, c):
+        raise AssertionError("count_partitions entered the enumerator")
+
+    monkeypatch.setattr(partitions, "_enumerate_counts", refuse)
+    for c in REPORT_CONSTRAINTS:
+        assert len(count_partitions(200, c)) == 201
 
 
 @pytest.mark.parametrize("k,i", [(2, 1), (2, 2), (3, 1), (3, 3), (4, 2)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcft.errors import ExponentOutOfRange, NonAlignablePrefactor, NonUnitLeadingCoefficient
+from qcft.errors import ExponentOutOfRange, NonAlignablePrefactor, ZeroLeadingCoefficient
 from qcft.series import FracQSeries
 
 
@@ -75,7 +75,7 @@ def test_invert_monomial():
 
 
 def test_invert_zero_leading():
-    with pytest.raises(NonUnitLeadingCoefficient):
+    with pytest.raises(ZeroLeadingCoefficient):
         poly(0, 1).invert()
 
 
