@@ -18,9 +18,8 @@ from .partitions import PartitionConstraint, count_partitions
 from .series import DEFAULT_ORDER, FracQSeries
 from .special import eisenstein, evaluate_series, rr_product
 
+# every Gram determinant up to this level is in reach: level 6 (dimension 11) in under 1 s
 MAX_GRAM_LEVEL = 6
-# cofactor expansion is O(n!): dimension 7 (level 5) takes about 1.3 s, 11 (level 6) never ends
-MAX_DETERMINANT_DIMENSION = 7
 
 
 def bracket(m: int, n: int) -> tuple[int, Fraction]:
@@ -87,6 +86,8 @@ class PolyCH:
         return isinstance(other, PolyCH) and self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {(0, 0)}:  # a constant hashes like its value, as it compares
+            return hash(self.terms.get((0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
@@ -200,26 +201,37 @@ class VermaGram:
         return len(self.basis)
 
     def determinant(self) -> PolyCH:
-        """Exact determinant by cofactor expansion, for dimensions up to
-        MAX_DETERMINANT_DIMENSION (LevelTooLarge above it)."""
+        """Exact determinant by Laplace expansion along the rows, memoized on
+        the set of columns used: O(n 2^n) polynomial products, not O(n!).
+
+        minors[S] is the determinant of the first |S| rows restricted to the
+        columns in S.  The expansion is division-free over int coefficients:
+        every entry is scaled by one common denominator D, and the result by
+        D^-n.  Dimension 0 is the empty mask, whose minor is 1.
+        """
         n = self.dimension
-        if n > MAX_DETERMINANT_DIMENSION:
-            raise LevelTooLarge(f"level {self.level} Gram matrix has dimension {n} > "
-                                f"{MAX_DETERMINANT_DIMENSION}; its determinant is out of reach")
-        if n == 0:
-            return PolyCH.const(1)
-
-        def det(rows: list[list[PolyCH]]) -> PolyCH:
-            if len(rows) == 1:
-                return rows[0][0]
-            total = PolyCH()
-            for j in range(len(rows)):
-                minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-                term = rows[0][j] * det(minor)
-                total = total + term if j % 2 == 0 else total - term
-            return total
-
-        return det([list(r) for r in self.entries])
+        d = math.lcm(*(v.denominator for row in self.entries for e in row
+                       for v in e.terms.values()))
+        minors: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+        for row in self.entries:
+            scaled = [(j, [(k, v.numerator * (d // v.denominator)) for k, v in e.terms.items()])
+                      for j, e in enumerate(row) if e.terms]
+            nxt: dict[int, dict[tuple[int, int], int]] = {}
+            for mask, minor in minors.items():
+                for j, entry in scaled:
+                    if mask >> j & 1:
+                        continue
+                    # (-1)^(columns of the mask right of j) is the cofactor sign
+                    sign = -1 if (mask >> j).bit_count() & 1 else 1
+                    acc = nxt.setdefault(mask | 1 << j, {})
+                    for (i1, j1), v1 in entry:
+                        v1 *= sign
+                        for (i2, j2), v2 in minor.items():
+                            k = (i1 + i2, j1 + j2)
+                            acc[k] = acc.get(k, 0) + v1 * v2
+            minors = {m: p for m, p in nxt.items() if any(p.values())}
+        scale = d ** n
+        return PolyCH({k: Fraction(v, scale) for k, v in minors.get((1 << n) - 1, {}).items()})
 
     def evaluate(self, c, h) -> list[list]:
         return [[e.evaluate(c, h) for e in row] for row in self.entries]
@@ -328,7 +340,8 @@ def minimal_c_eff_scan(bound: int) -> tuple[MinimalModelLabel, Fraction]:
             ceff = effective_central_charge(label)
             if best is None or ceff < best[1]:
                 best = (label, ceff)
-    assert best is not None
+    if best is None:
+        raise ValueError(f"no minimal-model label with states has p*q <= {bound}")
     return best
 
 
@@ -381,8 +394,10 @@ def ode_residual(which: str, order: int = DEFAULT_ORDER,
     Z is q^{-1/60} G or q^{11/60} H; the residual must vanish identically.
     A different rhs_coefficient deliberately breaks the equation (probe).
     """
-    pref = {"G": Fraction(-1, 60), "H": Fraction(11, 60)}[which]
-    z = FracQSeries(pref, rr_product(which, order).coeffs)
+    prefactors = {"G": Fraction(-1, 60), "H": Fraction(11, 60)}
+    if which not in prefactors:
+        raise ValueError("which must be 'G' or 'H'")
+    z = FracQSeries(prefactors[which], rr_product(which, order).coeffs)
     dz = z.q_derivative()
     lhs = serre_derivative(dz, 2)
     rhs = rhs_coefficient * (eisenstein(4, order) * z)

@@ -11,6 +11,8 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcft.errors import LevelTooLarge
 from qcft.series import DEFAULT_ORDER, FracQSeries
@@ -147,11 +149,34 @@ def test_gram_level_bounds():
         gram_matrix(7)
 
 
-def test_determinant_dimension_guard():
-    # level 6 has dimension p(6) = 11, past what cofactor expansion finishes;
-    # the vacuum module at level 6 (parts >= 2) has dimension 4 and still computes
-    with pytest.raises(LevelTooLarge):
-        gram_matrix(6).determinant()
+def partition_number(n):
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+    return p[n]
+
+
+def kac_product(level, t, h):
+    """prod over rs <= level of (h - h_{r,s})^{p(level - rs)} at c = 13 - 6(t + 1/t)."""
+    total = F(1)
+    for r in range(1, level + 1):
+        for s in range(1, level // r + 1):
+            h_rs = ((r * r - 1) * t + F(s * s - 1) / t) / 4 - F(r * s - 1, 2)
+            total *= (h - h_rs) ** partition_number(level - r * s)
+    return total
+
+
+def test_determinant_matches_kac_formula():
+    # det G_N / Kac product is one basis-dependent nonzero constant; compare
+    # the ratio across rational points instead of hard-coding it
+    points = [(F(2, 3), F(1, 7)), (F(5, 7), F(-3, 11)), (F(3, 11), F(2, 5)), (F(-4, 3), F(9, 13))]
+    for level in (5, 6):
+        det = gram_matrix(level).determinant()
+        ratios = {det.evaluate(13 - 6 * (t + 1 / t), h) / kac_product(level, t, h)
+                  for t, h in points}
+        assert len(ratios) == 1 and ratios != {0}, level
+    # the vacuum module at level 6 (parts >= 2) has dimension 4
     g = gram_matrix(6, vacuum=True)
     assert g.dimension == 4
     det = g.determinant()
@@ -159,6 +184,39 @@ def test_determinant_dimension_guard():
         m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                           for row in g.evaluate(c0, F(0))])
         assert det.evaluate(c0, F(0)) == F(*sympy.fraction(m.det()))
+
+
+half_integers = st.integers(-6, 6).map(lambda k: F(k, 2))
+sparse_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), half_integers,
+                               max_size=3).map(PolyCH)
+
+
+@st.composite
+def random_grams(draw):
+    """Square matrices of sparse PolyCH entries, often with a zero row and a zero column."""
+    n = draw(st.integers(0, 5))
+    rows = [[draw(sparse_polys) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [PolyCH()] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = PolyCH()
+    return VermaGram(0, False, tuple((k,) for k in range(n)), tuple(map(tuple, rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_grams())
+def test_determinant_matches_sympy(g):
+    m = sympy.Matrix(g.dimension, g.dimension,
+                     [poly_to_sympy(e) for row in g.entries for e in row])
+    assert sympy.expand(poly_to_sympy(g.determinant()) - m.det(method="domain-ge")) == 0
+
+
+def test_polynomial_hash_matches_equality():
+    assert PolyCH.const(2) == 2 and len({PolyCH.const(2), 2}) == 1
+    assert PolyCH() == 0 and hash(PolyCH()) == hash(0)
+    assert len({PolyCH.const(F(1, 2)), F(1, 2)}) == 1
 
 
 def test_gram_record_roundtrip_shape():
@@ -201,6 +259,13 @@ def test_minimal_model_label_validation():
     for p, q in [(1, 2), (2, 2), (4, 2), (2, 4), (3, 6)]:
         with pytest.raises(ValueError):
             MinimalModelLabel(p, q)
+
+
+@pytest.mark.parametrize("bound", [5, -1])
+def test_c_eff_scan_rejects_bound_without_states(bound):
+    # (2,5) is the first label with states, at p*q = 10
+    with pytest.raises(ValueError, match=rf"<= {bound}$"):
+        minimal_c_eff_scan(bound)
 
 
 def test_c_eff_scan():
@@ -272,6 +337,11 @@ def test_serre_derivative_weight_four():
 @pytest.mark.parametrize("which", ["G", "H"])
 def test_ode_residual_vanishes(which):
     assert ode_residual(which, DEFAULT_ORDER).is_zero()
+
+
+def test_ode_residual_sector_validation():
+    with pytest.raises(ValueError):
+        ode_residual("X")
 
 
 def test_ode_probe_detects_wrong_coefficient():
