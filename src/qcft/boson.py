@@ -9,12 +9,11 @@ S-invariance all hold simultaneously.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveRadius
-from .special import check_tau, eta_eval, q_product
+from .errors import CutoffTooLarge, NonpositiveRadius
+from .special import adaptive_cutoff, check_cutoff, check_tau, eta_eval, q_product, theta_table
 
 
 @dataclass(frozen=True)
@@ -39,35 +38,29 @@ class LatticeSpec:
             raise ValueError("side lengths must be positive")
 
 
-def _theta_cutoffs(R: float, y: float, target: float = 1e-15) -> tuple[int, int]:
-    # |term| = exp(-2 pi y (n^2/R^2 + w^2 R^2 / 4)); bound each factor by target
-    budget = -math.log(target) / (2 * math.pi * y)
-    n_max = int(math.ceil(R * math.sqrt(budget))) + 1
-    w_max = int(math.ceil(2 / R * math.sqrt(budget))) + 1
-    return n_max, w_max
-
-
 def theta_lattice_sum(R: float, tau: complex | TorusModulus,
                       cutoff: int | None = None) -> complex:
-    """Momentum/winding double sum: sum over (n, w) of q^{p_L^2/2} qbar^{p_R^2/2}."""
+    """Momentum/winding double sum: sum over (n, w) of q^{p_L^2/2} qbar^{p_R^2/2},
+    as sum_w e^{-pi y R^2 w^2 / 2} theta_3(w x | 2iy / R^2) at tau = x + iy: one
+    special.theta_table with a z per winding.  Each axis takes the power-2 rule, and
+    n_max * w_max / 2 (about the power-1 cutoff at y) is held to MAX_CUTOFF too."""
+    import numpy as np
     if isinstance(tau, TorusModulus):
         tau = tau.tau
-    if R <= 0:
+    if not 0 < R < math.inf:
         raise NonpositiveRadius(f"R = {R}")
-    check_tau(tau)
+    x, y = check_tau(tau).real, tau.imag
+    axes = (2 * y / R / R, y * R * R / 2)   # Im of the n and w nomes
+    if not all(0 < a < math.inf for a in axes):
+        raise CutoffTooLarge(f"R = {R} at Im tau = {y}: an axis exceeds MAX_CUTOFF")
     if cutoff is None:
-        n_max, w_max = _theta_cutoffs(R, tau.imag)
+        n_max, w_max = (adaptive_cutoff(1j * a, 2) for a in axes)
     else:
-        n_max = w_max = cutoff
-    two_pi_i = 2j * math.pi
-    total = 0j
-    for n in range(-n_max, n_max + 1):
-        for w in range(-w_max, w_max + 1):
-            pl = n / R + w * R / 2
-            pr = n / R - w * R / 2
-            hl, hr = pl * pl / 2, pr * pr / 2
-            total += cmath.exp(two_pi_i * (hl * tau - hr * tau.conjugate()))
-    return total
+        n_max = w_max = check_cutoff(cutoff)
+    check_cutoff(n_max * w_max // 2)
+    w = np.arange(-w_max, w_max + 1)
+    theta3 = theta_table(w * x, np.array([1j * axes[0]]), n_max)[1][2][:, 0]
+    return complex((np.exp(-np.pi * axes[1] * w * w) * theta3).sum())
 
 
 def boson_partition_function(R: float, tau: complex | TorusModulus,

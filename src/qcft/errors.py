@@ -40,11 +40,15 @@ class LevelTooLarge(QcftError):
 # -- numerics ----------------------------------------------------------------
 
 class NotInUpperHalfPlane(QcftError):
-    """tau with Im(tau) <= 0 passed to a modular evaluation."""
+    """tau with Im(tau) <= 0, or not finite, passed to a modular evaluation."""
 
 
 class NonpositiveRadius(QcftError):
-    """Compact boson radius R <= 0."""
+    """Compact boson radius R <= 0, or not finite (NaN, +-inf)."""
+
+
+class CutoffTooLarge(QcftError):
+    """A truncated q-sum needs more than special.MAX_CUTOFF terms (Im tau or R too small)."""
 
 
 class ThetaConstantVanishes(QcftError):

@@ -7,8 +7,11 @@ sequence (-2, 90, 462, 1540, 4554), reported as (-1, 45, 231, 770, 2277)
 after pulling out the overall scale 2.
 
 Every value comes from one numpy kernel that evaluates a whole array of tau
-at fixed z (numpy is imported inside it, so `import qcft` does not load it);
-the public functions of one point are one-element calls into it.
+at fixed z (numpy is imported inside it, so `import qcft` does not load it):
+special.theta_table gives theta_1..theta_4 and mu's numerators, with the
+power-2 cutoff of special.adaptive_cutoff at the smallest Im tau unless a
+JacobiPoint gives its own.  The public functions of one point are
+one-element calls into it.
 """
 
 from __future__ import annotations
@@ -21,52 +24,21 @@ from fractions import Fraction
 from .errors import (RoundingUnstable, ThetaConstantVanishes, ThetaZeroDivision,
                      ZDependenceDetected)
 from .series import rat_str
-from .special import check_tau, eta_values
+from .special import check_cutoff, check_tau, eta_values, theta_table
 
 DEFAULT_Z_LIST = (0.17 + 0.04j, 0.36 - 0.03j, 0.45 + 0.07j)
-DEFAULT_CUTOFF = 24
 
 
 @dataclass(frozen=True)
 class JacobiPoint:
     z: complex
     tau: complex
-    cutoff: int = DEFAULT_CUTOFF
+    cutoff: int | None = None   # None: special.adaptive_cutoff; an int is used as given
 
     def __post_init__(self):
         check_tau(self.tau)
-
-
-def _theta_cutoff(taus, floor: int, target: float = 1e-16) -> int:
-    # terms decay like |q|^{n^2/2}; solve for the first negligible index at the
-    # smallest Im tau, never go below the caller's floor, and round up to even
-    # (the kernel's table starts at an even integer)
-    y = float(taus.imag.min())
-    c = max(floor, 6, int(math.ceil(math.sqrt(-2 * math.log(target) / (2 * math.pi * y)))) + 3)
-    return c + c % 2
-
-
-def _thetas(zs, taus, cutoff: int):
-    """The exponent table of the four theta series and its sums, for each z of zs.
-
-    table[k, :, t] = exp(pi i m^2 tau_t + 2 pi i m zs[k]) over m from -c to
-    c + 3/2 in steps of 1/2, for an even cutoff c.  So the entries come in
-    fours: an even integer n, n + 1/2, the odd n + 1, n + 3/2.
-    theta_3 and theta_2 sum over integers and half-integers; theta_4 and
-    theta_1 weigh them by (-1)^floor(m).  Returns (table, thetas) with
-    thetas[i - 1][k] = theta_i(zs[k], tau).
-    """
-    import numpy as np
-    m = np.arange(-2 * cutoff, 2 * cutoff + 4) / 2
-    # built in place: the table is the largest array of a row
-    table = np.empty((len(zs), m.size, taus.size), dtype=complex)
-    np.multiply.outer(1j * np.pi * m * m, taus, out=table[0])
-    table[1:] = table[0]
-    table += 2j * np.pi * np.asarray(zs, dtype=complex)[:, None, None] * m[:, None]
-    np.exp(table, out=table)
-    parts = table.reshape(len(zs), cutoff + 1, 4, taus.size).sum(axis=1)
-    even, even_half, odd, odd_half = parts.transpose(1, 0, 2)
-    return table, (-1j * (even_half - odd_half), even_half + odd_half, even + odd, even - odd)
+        if self.cutoff is not None:
+            check_cutoff(self.cutoff)
 
 
 def _theta1_guard(theta1, z) -> None:
@@ -84,7 +56,7 @@ def _elliptic_genus(thetas):
     return 8 * sum((thetas[i - 1][0] / thetas[i - 1][1]) ** 2 for i in (2, 3, 4))
 
 
-def _mu(u: complex, v: complex, table_v, theta1_v, taus, cutoff: int):
+def _mu(u: complex, v: complex, table_v, theta1_v, taus):
     """-i e^{pi i u} / theta_1(v) * sum_n (-1)^n q^{n(n+1)/2} y_v^n / (1 - q^n y_u).
 
     The numerators are the half-integer entries of v's theta table, which
@@ -93,8 +65,8 @@ def _mu(u: complex, v: complex, table_v, theta1_v, taus, cutoff: int):
     denominator actually used.
     """
     import numpy as np
-    n = np.arange(-cutoff, cutoff + 2)   # as v's half-integer entries: n + 1/2
-    # in place, one (2c + 2, len(taus)) array beside denom: power = q^n y_u,
+    n = np.arange(len(table_v) // 2) + 1 - len(table_v) // 4   # v's n + 1/2 entries
+    # in place, one array of n by tau beside denom: power = q^n y_u,
     # or 1 / (q^n y_u) where flipped, and then the numerator factor
     power = 2j * np.pi * (n[:, None] * taus + u)
     flip = power.real > 0
@@ -115,13 +87,11 @@ def _mu(u: complex, v: complex, table_v, theta1_v, taus, cutoff: int):
 
 def _remainder(z: complex, taus, kappa: complex):
     """elliptic_genus * eta^3 / theta_1^2 - kappa * mu(z, z) at each tau of an array."""
-    cutoff = _theta_cutoff(check_tau(taus), DEFAULT_CUTOFF)
-    table, thetas = _thetas((z, 0), taus, cutoff)
+    table, thetas = theta_table((z, 0), taus)
     theta1 = thetas[0][0]
     _theta1_guard(theta1, z)
     eg = _elliptic_genus(thetas)
-    return eg * eta_values(taus) ** 3 / theta1 ** 2 - kappa * _mu(z, z, table[0], theta1,
-                                                                  taus, cutoff)
+    return eg * eta_values(taus) ** 3 / theta1 ** 2 - kappa * _mu(z, z, table[0], theta1, taus)
 
 
 def _one(tau):
@@ -133,14 +103,12 @@ def jacobi_theta(i: int, p: JacobiPoint) -> complex:
     """theta_i(z, tau) by direct series summation, nome q = exp(2*pi*i*tau)."""
     if i not in (1, 2, 3, 4):
         raise ValueError("theta index must be 1..4")
-    taus = _one(p.tau)
-    return complex(_thetas((p.z,), taus, _theta_cutoff(taus, p.cutoff))[1][i - 1][0, 0])
+    return complex(theta_table((p.z,), _one(p.tau), p.cutoff)[1][i - 1][0, 0])
 
 
 def elliptic_genus_k3(p: JacobiPoint) -> complex:
     """8 * sum_{i=2,3,4} (theta_i(z,tau) / theta_i(0,tau))^2 (holomorphic form)."""
-    taus = _one(p.tau)
-    thetas = _thetas((p.z, 0), taus, _theta_cutoff(taus, p.cutoff))[1]
+    thetas = theta_table((p.z, 0), _one(p.tau), p.cutoff)[1]
     return complex(_elliptic_genus(thetas)[0])
 
 
@@ -155,10 +123,9 @@ def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
     u = p.z
     v = u if z2 is None else z2
     taus = _one(p.tau)
-    cutoff = _theta_cutoff(taus, p.cutoff)
-    table, thetas = _thetas((v,), taus, cutoff)
+    table, thetas = theta_table((v,), taus, p.cutoff)
     _theta1_guard(thetas[0][0], v)
-    return complex(_mu(u, v, table[0], thetas[0][0], taus, cutoff)[0])
+    return complex(_mu(u, v, table[0], thetas[0][0], taus)[0])
 
 
 @dataclass(frozen=True)

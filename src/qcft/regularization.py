@@ -25,8 +25,7 @@ class ArithmeticProgressionSet:
     def __init__(self, progressions):
         progs = tuple((int(p), int(r)) for p, r in progressions)
         for p, r in progs:
-            if p < 1 or not (1 <= r <= p):
-                raise InvalidProgression(f"(p, r) = ({p}, {r})")
+            _validate(p, r)
         object.__setattr__(self, "progressions", progs)
         bound = 10 * max(p for p, _ in progs)
         seen: set[int] = set()

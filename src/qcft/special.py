@@ -2,9 +2,10 @@
 
 Exact constructors return FracQSeries, and every Euler product among them is
 expanded over ints by euler_product.  The numeric side evaluates at
-q = exp(2*pi*i*tau): check_tau is the one validator of tau, q_product the one
-numeric Euler product (numpy, over an array of tau, imported lazily), with
-cutoffs chosen so the first neglected term is below 1e-15.
+q = exp(2*pi*i*tau) in numpy (imported lazily) over an array of tau, with one
+of each primitive: check_tau validates tau, adaptive_cutoff is the cutoff rule
+of every truncated q-sum (|q|^(n^p / p) below CUTOFF_TARGET, plus CUTOFF_MARGIN,
+at most MAX_CUTOFF), q_product the Euler product, theta_table the theta series.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import NotInUpperHalfPlane
+from .errors import CutoffTooLarge, NotInUpperHalfPlane
 from .series import DEFAULT_ORDER, FracQSeries
 
 
@@ -103,11 +104,28 @@ def _nome(tau: complex) -> complex:
     return cmath.exp(2j * math.pi * check_tau(tau))
 
 
-def adaptive_cutoff(tau, target: float = 1e-15) -> int:
-    """Smallest n with |q|^n < target at every tau given, floored at 8 terms."""
+CUTOFF_TARGET = 1e-15
+CUTOFF_MARGIN = 3
+# about the power-1 cutoff at Im tau = 6.7e-4, so every Im tau >= 1e-3 evaluates
+MAX_CUTOFF = 8192
+
+
+def check_cutoff(cutoff):
+    """cutoff itself if it is at most MAX_CUTOFF, else CutoffTooLarge."""
+    if not cutoff <= MAX_CUTOFF:
+        raise CutoffTooLarge(f"a cutoff of {cutoff:.6g} terms exceeds MAX_CUTOFF = {MAX_CUTOFF}")
+    return cutoff
+
+
+def adaptive_cutoff(tau, power: int = 1) -> int:
+    """The smallest n with |q|^(n^power / power) < CUTOFF_TARGET at the smallest Im tau,
+    plus CUTOFF_MARGIN: power 1 for Euler products, 2 for theta sums.  CutoffTooLarge
+    above MAX_CUTOFF, raised before anything is allocated."""
     import numpy as np
     y = float(np.min(check_tau(tau).imag))
-    return max(8, int(math.ceil(-math.log(target) / (2 * math.pi * y))) + 1)
+    # exp(-2 pi y n^p / p) < target  <=>  n > (p log(1/target) / (2 pi y))^(1/p)
+    bound = (-power * math.log(CUTOFF_TARGET) / (2 * math.pi * y)) ** (1 / power)
+    return math.floor(check_cutoff(bound + 1 + CUTOFF_MARGIN))
 
 
 def q_product(tau, sign: int, cutoff: int | None = None):
@@ -118,10 +136,33 @@ def q_product(tau, sign: int, cutoff: int | None = None):
     """
     import numpy as np
     check_tau(tau)
-    if cutoff is None:
-        cutoff = adaptive_cutoff(tau)
+    cutoff = adaptive_cutoff(tau) if cutoff is None else check_cutoff(cutoff)
     n = np.arange(1, cutoff + 1)
     return np.multiply.reduce(1 + sign * np.exp(2j * np.pi * np.multiply.outer(n, tau)))
+
+
+def theta_table(zs, taus, cutoff: int | None = None):
+    """The exponent table of the four theta series and its sums, for each z of zs.
+
+    table[k, :, t] = exp(pi i m^2 tau_t + 2 pi i m zs[k]) over m from -c to c + 3/2
+    in steps of 1/2, with c the cutoff (by default of power 2) rounded up to even.
+    So the entries come in fours: an even integer n, n + 1/2, the odd n + 1, n + 3/2.
+    theta_3 and theta_2 sum over integers and half-integers; theta_4 and theta_1 weigh
+    them by (-1)^floor(m).  Returns (table, thetas), thetas[i - 1][k] = theta_i(zs[k]).
+    """
+    import numpy as np
+    c = adaptive_cutoff(taus, 2) if cutoff is None else check_cutoff(cutoff)
+    c += c % 2   # MAX_CUTOFF is even, so this stays within it
+    m = np.arange(-2 * c, 2 * c + 4) / 2
+    # built in place: the table is the largest array of a row
+    table = np.empty((len(zs), m.size, taus.size), dtype=complex)
+    np.multiply.outer(1j * np.pi * m * m, taus, out=table[0])
+    table[1:] = table[0]
+    table += 2j * np.pi * np.asarray(zs, dtype=complex)[:, None, None] * m[:, None]
+    np.exp(table, out=table)
+    parts = table.reshape(len(zs), c + 1, 4, taus.size).sum(axis=1)
+    even, even_half, odd, odd_half = parts.transpose(1, 0, 2)
+    return table, (-1j * (even_half - odd_half), even_half + odd_half, even + odd, even - odd)
 
 
 def eta_values(tau, cutoff: int | None = None):

@@ -1,6 +1,8 @@
 """Compact boson on the torus and the lattice determinant-ratio experiment."""
 
+import cmath
 import math
+import random
 
 import pytest
 
@@ -63,9 +65,38 @@ def test_theta_cutoff_doubling_stability():
     assert abs(a - b) < 1e-14 * abs(a)
 
 
+def theta_lattice_loop(R, tau):
+    """The (n, w) double loop, each axis cut where its factor falls below 1e-15,
+    that theta_lattice_sum ran before it became one theta table."""
+    budget = -math.log(1e-15) / (2 * math.pi * tau.imag)
+    n_max = int(math.ceil(R * math.sqrt(budget))) + 1
+    w_max = int(math.ceil(2 / R * math.sqrt(budget))) + 1
+    total = 0j
+    for n in range(-n_max, n_max + 1):
+        for w in range(-w_max, w_max + 1):
+            pl = n / R + w * R / 2
+            pr = n / R - w * R / 2
+            hl, hr = pl * pl / 2, pr * pr / 2
+            total += cmath.exp(2j * math.pi * (hl * tau - hr * tau.conjugate()))
+    return total
+
+
+def test_theta_table_matches_double_loop():
+    rng = random.Random(1004)
+    for _ in range(120):
+        R = math.exp(rng.uniform(math.log(0.25), math.log(8.0)))
+        tau = complex(rng.uniform(-1.5, 1.5), math.exp(rng.uniform(math.log(0.08), math.log(3.0))))
+        want = theta_lattice_loop(R, tau)
+        got = theta_lattice_sum(R, tau)
+        assert abs(got - want) <= 1e-13 * abs(want), (R, tau, got, want)
+
+
 def test_input_validation():
-    with pytest.raises(NonpositiveRadius):
-        theta_lattice_sum(0.0, TAU)
+    for R in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(NonpositiveRadius):
+            theta_lattice_sum(R, TAU)
+        with pytest.raises(NonpositiveRadius):
+            boson_partition_function(R, TAU)
     with pytest.raises(NotInUpperHalfPlane):
         theta_lattice_sum(1.0, 0.5 - 0.2j)
     with pytest.raises(NotInUpperHalfPlane):

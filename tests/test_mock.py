@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qcft import mock
+from qcft import mock, special
 from qcft.errors import (NotInUpperHalfPlane, RoundingUnstable, ThetaConstantVanishes,
                          ThetaZeroDivision, ZDependenceDetected)
 from qcft.mock import (DEFAULT_Z_LIST, JacobiPoint, appell_lerch_mu, elliptic_genus_k3,
@@ -247,7 +247,7 @@ def test_kernel_row_equals_points():
     taus = np.linspace(-0.5, 0.5, 17) + 1j * np.linspace(0.1, 1.0, 17)
     z = 0.31 + 0.05j
     row = mock._remainder(z, taus, 24)
-    table, thetas = mock._thetas((z,), taus, mock._theta_cutoff(taus, 24))
+    table, thetas = special.theta_table((z,), taus, special.adaptive_cutoff(taus, 2))
     for k, tau in enumerate(taus):
         point = mock_remainder(z, tau)
         assert abs(row[k] - point) <= 1e-13 * abs(point)
@@ -279,10 +279,12 @@ def test_theta_constant_guard():
 
 
 def test_large_imaginary_tau():
-    # q^n y_u for n = -24 would reach |q|^-24 = e^{2 pi 24 Im tau}: past the
-    # float range from Im tau ~ 4.7, so those terms are divided through by it
+    # at a cutoff of 24, q^n y_u for n = -24 would reach |q|^-24 = e^{2 pi 24 Im tau}:
+    # past the float range from Im tau ~ 4.7, so those terms are divided through by it
     tau = 0.3 + 7.0j
     with mpmath.workdps(30):
+        got = appell_lerch_mu(JacobiPoint(0.2 + 0.1j, tau, cutoff=24), z2=0.4)
+        assert_relative(got, mp_mu(0.2 + 0.1j, 0.4, tau), 1e-10, tau)
         assert_relative(mu(0.2 + 0.1j, 0.4, tau), mp_mu(0.2 + 0.1j, 0.4, tau), 1e-10, tau)
     vals = [mock_remainder(z, tau) for z in DEFAULT_Z_LIST]
     assert max(abs(a - vals[0]) for a in vals) < 1e-9 * abs(vals[0])

@@ -4,6 +4,7 @@ enumeration, partition enumeration)."""
 
 import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcft import boson, mock, special, virasoro
-from qcft.errors import NotInUpperHalfPlane
+from qcft.errors import CutoffTooLarge, NotInUpperHalfPlane
 from qcft.series import FracQSeries
-from qcft.special import (adaptive_cutoff, dedekind_eta, eisenstein, euler_product, eta_eval,
-                          evaluate_series, rr_complement, rr_product)
+from qcft.special import (CUTOFF_MARGIN, CUTOFF_TARGET, MAX_CUTOFF, adaptive_cutoff,
+                          dedekind_eta, eisenstein, euler_product, eta_eval, evaluate_series,
+                          rr_complement, rr_product)
 
 ORDER = 40
 
@@ -181,6 +183,19 @@ def test_adaptive_cutoff_grows_near_real_axis():
     assert adaptive_cutoff(0.1 + 0.05j) > adaptive_cutoff(0.1 + 2.0j)
 
 
+def test_cutoff_rule_first_neglected_term_below_target():
+    # the terms decay like |q|^(n^p / p) = exp(-2 pi y n^p / p)
+    rng = random.Random(515)
+    for _ in range(200):
+        tau = complex(rng.uniform(-1.5, 1.5), math.exp(rng.uniform(math.log(1e-3), math.log(10))))
+        for power in (1, 2):
+            n = adaptive_cutoff(tau, power)
+            term = lambda k: math.exp(-2 * math.pi * tau.imag * k ** power / power)
+            assert term(n + 1) < CUTOFF_TARGET, (tau, power, n)
+            # and only the margin past the first index below the target
+            assert term(n - CUTOFF_MARGIN - 1) >= CUTOFF_TARGET, (tau, power, n)
+
+
 def test_q_product_matches_sequential_product():
     # the loop eta_eval and the twisted trace ran before one np.prod replaced them
     for tau in (0.11 + 0.92j, -1.3 + 0.06j, 0.5 + 2.5j):
@@ -228,3 +243,40 @@ NUMERIC_ENTRY_POINTS = {
 def test_numeric_entry_points_reject_bad_tau(entry, tau):
     with pytest.raises(NotInUpperHalfPlane):
         NUMERIC_ENTRY_POINTS[entry](tau)
+
+
+TINY_Y = 0.3 + 1e-12j
+
+EXTREME_INPUTS = {
+    "adaptive_cutoff": lambda: adaptive_cutoff(TINY_Y),
+    "adaptive_cutoff power 2": lambda: adaptive_cutoff(TINY_Y, 2),
+    "q_product": lambda: special.q_product(TINY_Y, 1),
+    "eta_values": lambda: special.eta_values(np.array([0.1 + 0.5j, TINY_Y])),
+    "eta_eval": lambda: eta_eval(1e-12j),
+    "theta_table": lambda: special.theta_table((0.2,), np.array([TINY_Y])),
+    "jacobi_theta": lambda: mock.jacobi_theta(3, mock.JacobiPoint(0.2, TINY_Y)),
+    "elliptic_genus_k3": lambda: mock.elliptic_genus_k3(mock.JacobiPoint(0.2, TINY_Y)),
+    "appell_lerch_mu": lambda: mock.appell_lerch_mu(mock.JacobiPoint(0.2, TINY_Y)),
+    "mock_remainder": lambda: mock.mock_remainder(0.2, TINY_Y),
+    "kernel row": lambda: mock._remainder(0.2, np.array([0.1 + 0.5j, TINY_Y]), 24),
+    "theta_lattice_sum": lambda: boson.theta_lattice_sum(1.0, TINY_Y),
+    "boson_partition_function": lambda: boson.boson_partition_function(1.0, TINY_Y),
+    "twisted_boson_partition_function": lambda: boson.twisted_boson_partition_function(TINY_Y),
+    "theta_lattice_sum R = 1e-9": lambda: boson.theta_lattice_sum(1e-9, 1j),
+    "boson_partition_function R = 1e-9": lambda: boson.boson_partition_function(1e-9, 1j),
+    "theta_lattice_sum R = 1e9": lambda: boson.theta_lattice_sum(1e9, 1j),
+    "theta_lattice_sum R = 1e-200": lambda: boson.theta_lattice_sum(1e-200, 1j),
+    "theta_lattice_sum R = 1e200 cutoff": lambda: boson.theta_lattice_sum(1e200, 1j, 10),
+    "q_product cutoff": lambda: special.q_product(1j, 1, MAX_CUTOFF + 1),
+    "eta_eval cutoff": lambda: eta_eval(1j, 10 ** 12),
+    "JacobiPoint cutoff": lambda: mock.JacobiPoint(0.2, 1j, MAX_CUTOFF + 1),
+    "theta_lattice_sum cutoff": lambda: boson.theta_lattice_sum(1.0, 1j, 10 ** 12),
+    # each axis within MAX_CUTOFF, the (n, w) table not
+    "theta_lattice_sum total": lambda: boson.theta_lattice_sum(1.0, 1j, 200),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EXTREME_INPUTS))
+def test_extreme_inputs_raise_cutoff_too_large(entry):
+    with pytest.raises(CutoffTooLarge):
+        EXTREME_INPUTS[entry]()
