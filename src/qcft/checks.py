@@ -110,11 +110,12 @@ def check_rr(cfg: RunConfig) -> list[CheckReport]:
     n = cfg.order - 1
     m = min(n, partitions.ENUMERATION_LIMIT)
     out = []
-    for which, min_part, residues in (("G", 1, {1, 4}), ("H", 2, {2, 3})):
+    for which, residues in special.RR_RESIDUES.items():
         product = special.rr_product(which, n + 1)
-        for rule, c in (("gap", partitions.PartitionConstraint(min_part=min_part, min_gap=2)),
+        # the two sides of the identity: gaps >= 2 above the smallest residue, and the residues
+        for rule, c in (("gap", partitions.PartitionConstraint(min_part=min(residues), min_gap=2)),
                         ("congruence", partitions.PartitionConstraint(
-                            allowed_residues=frozenset(residues), modulus=5))):
+                            allowed_residues=frozenset(residues), modulus=special.RR_MODULUS))):
             counts = partitions.count_partitions(n, c)
             out.append(_located(f"rr.{which}_{rule}_counting", {"n_max": n}, "first_mismatch",
                                 _first_mismatch(product.coeffs, counts, n)))
@@ -140,20 +141,18 @@ def check_minimal_model(cfg: RunConfig) -> list[CheckReport]:
         out.append(_exact("minimal.central_charge", {"p": p, "q": q},
                           virasoro.central_charge(label) == expected,
                           {"value": rat_str(expected)}))
-    out.append(_exact("minimal.c_eff_25", {},
-                      virasoro.effective_central_charge(
-                          virasoro.MinimalModelLabel(2, 5)) == Fraction(2, 5)))
+    ceff_25 = virasoro.effective_central_charge(virasoro.MinimalModelLabel(2, 5))
+    out.append(_exact("minimal.c_eff_25", {}, ceff_25 == Fraction(2, 5)))
     best, ceff = virasoro.minimal_c_eff_scan(100)
     out.append(_exact("minimal.c_eff_scan", {"bound": 100},
                       (best.p, best.q) == (2, 5) and ceff == Fraction(2, 5),
                       {"minimizer": f"({best.p},{best.q})", "c_eff": rat_str(ceff)}))
     c = virasoro.central_charge(virasoro.MinimalModelLabel(2, 5))
-    ceff = virasoro.effective_central_charge(virasoro.MinimalModelLabel(2, 5))
     out.append(_exact("minimal.casimir_identities", {},
-                      Fraction(11, 60) == -c / 24 and Fraction(-1, 60) == -ceff / 24))
+                      Fraction(11, 60) == -c / 24 and Fraction(-1, 60) == -ceff_25 / 24))
 
     n = min(cfg.order, 201)
-    for sector, which in (("V0", "H"), ("Vm15", "G")):
+    for sector, which in virasoro.SECTOR_PRODUCT.items():
         chi = virasoro.character_25(sector, n)
         ref = FracQSeries(virasoro.CHARACTER_PREFACTOR[sector],
                           special.rr_product(which, n).coeffs)
@@ -162,11 +161,11 @@ def check_minimal_model(cfg: RunConfig) -> list[CheckReport]:
     if not cfg.exact_only:
         worst = 0.0
         for s in (0.7, 1.3, 2.0):
-            z1 = virasoro.torus_partition_function_25(1j * s, n)
-            z2 = virasoro.torus_partition_function_25(1j / s, n)
+            z1 = virasoro.torus_partition_function_25(1j * s)
+            z2 = virasoro.torus_partition_function_25(1j / s)
             worst = max(worst, abs(z1 - z2))
         out.append(_numeric("minimal.torus_modular_invariance",
-                            {"s": (0.7, 1.3, 2.0)}, worst, cfg.float_tolerance))
+                            {"s": (0.7, 1.3, 2.0)}, worst, 1e-8))
     return out
 
 
@@ -215,21 +214,14 @@ def check_boson(cfg: RunConfig) -> list[CheckReport]:
     out = []
     taus = (1j, 0.3 + 1.2j)
     radii = (0.7, 1.0, 1.9)
-    dual = max(abs(boson.boson_partition_function(r, t)
-                   - boson.boson_partition_function(2 / r, t))
-               for r in radii for t in taus)
-    out.append(_numeric("boson.radius_duality", {"radii": radii}, dual, 1e-12))
-    t_dev = max(abs(boson.boson_partition_function(r, t)
-                    - boson.boson_partition_function(r, t + 1))
-                for r in radii for t in taus)
-    out.append(_numeric("boson.T_invariance", {"radii": radii}, t_dev, 1e-10))
-    s_dev = max(abs(boson.boson_partition_function(r, t)
-                    - boson.boson_partition_function(r, -1 / t))
-                for r in radii for t in taus)
-    out.append(_numeric("boson.S_invariance", {"radii": radii}, s_dev, 1e-8))
-    positive = all(boson.boson_partition_function(r, t) > 0
-                   for r in radii for t in taus)
-    out.append(_exact("boson.positivity", {"radii": radii}, positive))
+    z = {(r, t): boson.boson_partition_function(r, t) for r in radii for t in taus}
+    for name, image, tolerance in (("radius_duality", lambda r, t: (2 / r, t), 1e-12),
+                                   ("T_invariance", lambda r, t: (r, t + 1), 1e-10),
+                                   ("S_invariance", lambda r, t: (r, -1 / t), 1e-8)):
+        dev = max(abs(z_rt - boson.boson_partition_function(*image(r, t)))
+                  for (r, t), z_rt in z.items())
+        out.append(_numeric(f"boson.{name}", {"radii": radii}, dev, tolerance))
+    out.append(_exact("boson.positivity", {"radii": radii}, all(v > 0 for v in z.values())))
 
     numeric_twisted = boson.twisted_boson_partition_function(1j)
     series = regularization.twisted_oscillator_series(

@@ -3,11 +3,12 @@
 The closed form sum_{n>=0} (pn + r) = r(p-r)/(2p) - p/12 is the s = -1
 Hurwitz value; the naive split p*sum(n) + r*sum(1) misses -r^2/(2p).
 Casimir exponents are half the regularized spectrum sum, which is the unique
-constant calibration reproducing both q^{-1/60} and q^{11/60} at once.
+constant calibration reproducing both (2,5) character prefactors at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,15 +25,15 @@ class ArithmeticProgressionSet:
 
     def __init__(self, progressions):
         progs = tuple((int(p), int(r)) for p, r in progressions)
-        for p, r in progs:
+        if not progs:
+            raise InvalidProgression("no progressions")
+        for i, (p, r) in enumerate(progs):
             _validate(p, r)
+            # {pn + r} and {p'n + r'} share a member iff r = r' mod gcd(p, p') (CRT)
+            for p2, r2 in progs[:i]:
+                if (r - r2) % math.gcd(p, p2) == 0:
+                    raise InvalidProgression(f"progressions ({p2}, {r2}) and ({p}, {r}) overlap")
         object.__setattr__(self, "progressions", progs)
-        bound = 10 * max(p for p, _ in progs)
-        seen: set[int] = set()
-        for e in self.members(bound):
-            if e in seen:
-                raise InvalidProgression(f"progressions overlap at {e}")
-            seen.add(e)
 
     def members(self, below: int) -> list[int]:
         """All spectrum members < below, ascending (progressions kept disjoint)."""

@@ -1,9 +1,9 @@
 """Truncated q-series over exact rationals with a rational prefactor exponent.
 
 A series is q^a * (c_0 + c_1 q + ... + c_{N-1} q^{N-1}) with a rational and
-all c_n rational.  The prefactor exponent a carries objects like
-q^{-1/60} * G(q) exactly; the integer-indexed part keeps the Cauchy product
-simple.  Products and inverses clear denominators once and run over ints.
+all c_n rational.  The prefactor exponent a carries objects like eta =
+q^{1/24} * prod (1 - q^n) exactly; the integer-indexed part keeps the Cauchy
+product simple.  Products and inverses clear denominators once and run over ints.
 No floating point enters anywhere in this module.
 """
 

@@ -69,13 +69,17 @@ def eisenstein(k: int, order: int = DEFAULT_ORDER) -> FracQSeries:
     return FracQSeries(0, [1] + [mult * s for s in sig])
 
 
+# parts of G and H (n % RR_MODULUS in the residues); the smallest is that of the gap-2 side
+RR_MODULUS = 5
+RR_RESIDUES = {"G": (1, 4), "H": (2, 3)}
+
+
 def _rr_parts(which: str, order: int) -> list[int]:
-    residues = {"G": (1, 4), "H": (2, 3)}[which]
-    return [e for e in range(1, order) if e % 5 in residues]
+    return [e for e in range(1, order) if e % RR_MODULUS in RR_RESIDUES[which]]
 
 
 def rr_product(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:
-    """Rogers-Ramanujan products: G over parts = +-1 mod 5, H over +-2 mod 5."""
+    """Rogers-Ramanujan products 1 / prod (1 - q^e) over the parts of RR_RESIDUES."""
     return FracQSeries(0, euler_product(_rr_parts(which, order), -1, True, order))
 
 
@@ -98,10 +102,6 @@ def check_tau(tau):
     if not ok:
         raise NotInUpperHalfPlane(f"tau = {tau}: need a finite tau with Im(tau) > 0")
     return tau
-
-
-def _nome(tau: complex) -> complex:
-    return cmath.exp(2j * math.pi * check_tau(tau))
 
 
 CUTOFF_TARGET = 1e-15
@@ -128,8 +128,9 @@ def adaptive_cutoff(tau, power: int = 1) -> int:
     return math.floor(check_cutoff(bound + 1 + CUTOFF_MARGIN))
 
 
-def q_product(tau, sign: int, cutoff: int | None = None):
-    """prod_{n=1}^{cutoff} (1 + sign q^n) at each tau of an array (or at one tau).
+def q_product(tau, sign: int, cutoff: int | None = None, residues=None):
+    """prod_{n=1}^{cutoff} (1 + sign q^n) at each tau of an array (or at one tau);
+    residues = (modulus, kept) keeps only the factors with n % modulus in kept.
 
     One np.prod over the table q^n = exp(2 pi i n tau); the default cutoff is
     adaptive_cutoff at the smallest Im tau, so every entry is converged.
@@ -138,6 +139,9 @@ def q_product(tau, sign: int, cutoff: int | None = None):
     check_tau(tau)
     cutoff = adaptive_cutoff(tau) if cutoff is None else check_cutoff(cutoff)
     n = np.arange(1, cutoff + 1)
+    if residues is not None:
+        modulus, kept = residues
+        n = n[np.isin(n % modulus, kept)]
     return np.multiply.reduce(1 + sign * np.exp(2j * np.pi * np.multiply.outer(n, tau)))
 
 
@@ -182,7 +186,7 @@ def evaluate_series(f: FracQSeries, tau: complex) -> complex:
     The prefactor q^a is evaluated as exp(2*pi*i*tau*a), which is the branch
     every formula in scope intends.
     """
-    q = _nome(tau)
+    q = cmath.exp(2j * math.pi * check_tau(tau))
     acc = 0j
     for c in reversed(f.coeffs):
         acc = acc * q + complex(c)

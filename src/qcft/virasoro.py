@@ -8,15 +8,15 @@ with m > 0.  Gram entries are exact polynomials in (c, h).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import LevelTooLarge
 from .partitions import PartitionConstraint, count_partitions
 from .series import DEFAULT_ORDER, FracQSeries
-from .special import eisenstein, evaluate_series, rr_product
+from .special import RR_MODULUS, RR_RESIDUES, check_tau, eisenstein, q_product, rr_product
 
 # every Gram determinant up to this level is in reach: level 6 (dimension 11) in under 1 s
 MAX_GRAM_LEVEL = 6
@@ -351,32 +351,33 @@ CHARACTER_PREFACTOR = {
     "V0": Fraction(11, 60),     # -c/24 at (2,5)
     "Vm15": Fraction(-1, 60),   # h - c/24 = -1/5 + 11/60
 }
+# each character is q^CHARACTER_PREFACTOR times one Rogers-Ramanujan product
+SECTOR_PRODUCT = {"V0": "H", "Vm15": "G"}
 
 
 def character_25(sector: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     """Graded dimensions of the two (2,5) irreducibles, with Casimir prefactor.
 
-    V0 counts partitions without 1s and with gaps >= 2; Vm15 allows 1s.
-    These reproduce q^{11/60} H(q) and q^{-1/60} G(q) exactly.
+    Partitions with gaps >= 2 and smallest part that of the sector's product
+    (V0 has no 1s, Vm15 allows them), so each is its SECTOR_PRODUCT exactly.
     """
     if sector not in CHARACTER_PREFACTOR:
         raise ValueError("sector must be 'V0' or 'Vm15'")
-    min_part = 2 if sector == "V0" else 1
+    min_part = min(RR_RESIDUES[SECTOR_PRODUCT[sector]])
     counts = count_partitions(order - 1, PartitionConstraint(min_part=min_part, min_gap=2))
     return FracQSeries(CHARACTER_PREFACTOR[sector], counts.values)
 
 
-@lru_cache(maxsize=4)
-def _torus_characters_25(order: int) -> tuple[FracQSeries, FracQSeries]:
-    """q^{-1/60} G and q^{11/60} H, built once per order for every tau."""
-    return (FracQSeries(Fraction(-1, 60), rr_product("G", order).coeffs),
-            FracQSeries(Fraction(11, 60), rr_product("H", order).coeffs))
-
-
-def torus_partition_function_25(tau: complex, order: int = DEFAULT_ORDER) -> float:
-    """|chi_{-1/60}|^2 + |chi_{11/60}|^2 at q = exp(2*pi*i*tau)."""
-    chi_g, chi_h = _torus_characters_25(order)
-    return abs(evaluate_series(chi_g, tau)) ** 2 + abs(evaluate_series(chi_h, tau)) ** 2
+def torus_partition_function_25(tau: complex, cutoff: int | None = None) -> float:
+    """The sum over the sectors of |q^a / prod (1 - q^n)|^2 at q = exp(2*pi*i*tau), with
+    a = CHARACTER_PREFACTOR and n over the sector's product; cutoff as in q_product."""
+    check_tau(tau)
+    total = 0.0
+    for sector, which in SECTOR_PRODUCT.items():
+        prefactor = cmath.exp(2j * math.pi * tau * float(CHARACTER_PREFACTOR[sector]))
+        product = complex(q_product(tau, -1, cutoff, (RR_MODULUS, RR_RESIDUES[which])))
+        total += abs(prefactor / product) ** 2
+    return total
 
 
 # -- modular ODE -------------------------------------------------------------------
@@ -391,13 +392,14 @@ def ode_residual(which: str, order: int = DEFAULT_ORDER,
                  rhs_coefficient: Fraction = Fraction(11, 3600)) -> FracQSeries:
     """LHS - RHS of (q d/dq - 1/6 E2) q d/dq Z = (11/3600) E4 Z.
 
-    Z is q^{-1/60} G or q^{11/60} H; the residual must vanish identically.
+    Z is the character of the sector whose product is `which` (G or H); the
+    residual must vanish identically.
     A different rhs_coefficient deliberately breaks the equation (probe).
     """
-    prefactors = {"G": Fraction(-1, 60), "H": Fraction(11, 60)}
-    if which not in prefactors:
+    sector = next((s for s, w in SECTOR_PRODUCT.items() if w == which), None)
+    if sector is None:
         raise ValueError("which must be 'G' or 'H'")
-    z = FracQSeries(prefactors[which], rr_product(which, order).coeffs)
+    z = FracQSeries(CHARACTER_PREFACTOR[sector], rr_product(which, order).coeffs)
     dz = z.q_derivative()
     lhs = serre_derivative(dz, 2)
     rhs = rhs_coefficient * (eisenstein(4, order) * z)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qcft
-from qcft import partitions, special, virasoro
+from qcft import boson, partitions, special, virasoro
 from qcft.checks import GROUPS, run_all, run_group
 from qcft.cli import _parse_progressions, build_parser, main
 from qcft.config import RunConfig, load_config
@@ -169,6 +169,33 @@ def test_failing_exact_checks_say_where(monkeypatch):
     assert ode["ode.residual_G"].details == {"first_nonzero_exponent": "419/60"}
     assert ode["ode.residual_H"].details == {"first_nonzero_exponent": "431/60"}
     assert not ode["ode.residual_G"].passed and not ode["ode.residual_H"].passed
+
+
+def test_tolerance_flag_leaves_torus_check_at_1e_8(monkeypatch):
+    # --tolerance sets the golden comparison; the torus record keeps its own 1e-8
+    real = virasoro.torus_partition_function_25
+
+    def skewed(tau, cutoff=None):
+        return real(tau, cutoff) + (1e-4 if tau.imag > 1 else 0.0)
+
+    monkeypatch.setattr(virasoro, "torus_partition_function_25", skewed)
+    reports = run_group("minimal-model", RunConfig(float_tolerance=1e-2))
+    torus = [r for r in reports if r.name == "minimal.torus_modular_invariance"]
+    assert len(torus) == 1 and not torus[0].passed
+
+
+def test_boson_group_evaluates_each_partition_function_once(monkeypatch):
+    # Z_R(tau) at 3 radii and 2 tau, and its duality, T and S images: 24 calls
+    real, calls = boson.boson_partition_function, []
+
+    def counted(r, tau, cutoff=None):
+        calls.append((r, tau))
+        return real(r, tau, cutoff)
+
+    monkeypatch.setattr(boson, "boson_partition_function", counted)
+    reports = run_group("boson", RunConfig())
+    assert all(r.passed for r in reports)
+    assert len(calls) == 24
 
 
 def test_failing_partition_oracle_says_where(monkeypatch):

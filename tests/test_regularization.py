@@ -59,6 +59,10 @@ def test_validation():
             hurwitz_sum(*bad)
     with pytest.raises(InvalidProgression):
         ArithmeticProgressionSet([(5, 1), (10, 6)])  # 6, 16, ... overlap 6, 11, ...
+    with pytest.raises(InvalidProgression):
+        ArithmeticProgressionSet([(11, 11), (13, 13)])  # both contain 143
+    with pytest.raises(InvalidProgression):
+        ArithmeticProgressionSet([])
 
 
 def test_casimir_exponents():

@@ -209,6 +209,15 @@ def test_q_product_matches_sequential_product():
             assert abs(got - prod) < 1e-13 * abs(prod)
 
 
+def test_residue_filter_gives_rogers_ramanujan_products():
+    # 1 / prod (1 - q^n) over n = +-1 or +-2 mod 5 against the exact G and H series
+    for tau in (0.11 + 0.92j, -0.7 + 0.4j, 1.3 + 1.5j):
+        for which, residues in special.RR_RESIDUES.items():
+            got = 1 / complex(special.q_product(tau, -1, residues=(special.RR_MODULUS, residues)))
+            want = evaluate_series(rr_product(which, 201), tau)
+            assert abs(got - want) < 1e-13 * abs(want), (tau, which)
+
+
 def test_array_cutoff_follows_smallest_imaginary_part():
     taus = np.array([0.2 + 1.5j, -0.4 + 0.07j, 0.9 + 0.6j])
     assert adaptive_cutoff(taus) == adaptive_cutoff(-0.4 + 0.07j)
@@ -262,6 +271,7 @@ EXTREME_INPUTS = {
     "theta_lattice_sum": lambda: boson.theta_lattice_sum(1.0, TINY_Y),
     "boson_partition_function": lambda: boson.boson_partition_function(1.0, TINY_Y),
     "twisted_boson_partition_function": lambda: boson.twisted_boson_partition_function(TINY_Y),
+    "torus_partition_function_25": lambda: virasoro.torus_partition_function_25(TINY_Y),
     "theta_lattice_sum R = 1e-9": lambda: boson.theta_lattice_sum(1e-9, 1j),
     "boson_partition_function R = 1e-9": lambda: boson.boson_partition_function(1e-9, 1j),
     "theta_lattice_sum R = 1e9": lambda: boson.theta_lattice_sum(1e9, 1j),

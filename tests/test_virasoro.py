@@ -6,9 +6,12 @@ adjacent swaps with an inversion-count termination measure, a different
 algorithm from the recursive lowering used in the package.
 """
 
+import math
+import random
 from fractions import Fraction as F
 from itertools import product
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -320,6 +323,41 @@ def test_torus_t_invariance():
     tau = 0.31 + 0.83j
     assert abs(torus_partition_function_25(tau, n)
                - torus_partition_function_25(tau + 1, n)) < 1e-10
+
+
+@pytest.mark.parametrize("s", [0.05, 0.02, 0.01])
+def test_torus_modular_invariance_near_the_cusp(s):
+    # Z(0.01i) is about 1.2e9: compared relative to Z, with the default cutoff
+    z1 = torus_partition_function_25(1j * s)
+    z2 = torus_partition_function_25(1j / s)
+    assert abs(z1 - z2) <= 1e-12 * z2
+
+
+def mpmath_torus(tau: complex) -> float:
+    """|q^(-1/60) G|^2 + |q^(11/60) H|^2 with the products over n = +-1, +-2 mod 5
+    multiplied out at 30 digits until |q|^n < 1e-25."""
+    with mpmath.workdps(30):
+        tau = mpmath.mpc(tau)
+        q = mpmath.exp(2j * mpmath.pi * tau)
+        n_max = int(25 * math.log(10) / (2 * math.pi * float(tau.imag))) + 1
+        total = mpmath.mpf(0)
+        for a, residues in ((F(-1, 60), (1, 4)), (F(11, 60), (2, 3))):
+            prod, qn = mpmath.mpc(1), mpmath.mpc(1)
+            for n in range(1, n_max + 1):
+                qn *= q
+                if n % 5 in residues:
+                    prod *= 1 - qn
+            chi = mpmath.exp(2j * mpmath.pi * tau * mpmath.mpf(a.numerator) / a.denominator) / prod
+            total += abs(chi) ** 2
+        return float(total)
+
+
+def test_torus_matches_mpmath_product():
+    rng = random.Random(2025)
+    for _ in range(40):
+        tau = complex(rng.uniform(-1.5, 1.5), math.exp(rng.uniform(math.log(1e-3), math.log(3))))
+        want = mpmath_torus(tau)
+        assert abs(torus_partition_function_25(tau) - want) <= 1e-12 * want, tau
 
 
 # -- modular ODE -----------------------------------------------------------------------
