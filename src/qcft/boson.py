@@ -42,8 +42,9 @@ def theta_lattice_sum(R: float, tau: complex | TorusModulus,
                       cutoff: int | None = None) -> complex:
     """Momentum/winding double sum: sum over (n, w) of q^{p_L^2/2} qbar^{p_R^2/2},
     as sum_w e^{-pi y R^2 w^2 / 2} theta_3(w x | 2iy / R^2) at tau = x + iy: one
-    special.theta_table with a z per winding.  Each axis takes the power-2 rule, and
-    n_max * w_max / 2 (about the power-1 cutoff at y) is held to MAX_CUTOFF too."""
+    special.theta_table of integer steps (halves=False) with a z per winding.  Each
+    axis takes the power-2 rule, and n_max * w_max / 2 (about the power-1 cutoff at y)
+    is held to MAX_CUTOFF too."""
     import numpy as np
     if isinstance(tau, TorusModulus):
         tau = tau.tau
@@ -59,7 +60,7 @@ def theta_lattice_sum(R: float, tau: complex | TorusModulus,
         n_max = w_max = check_cutoff(cutoff)
     check_cutoff(n_max * w_max // 2)
     w = np.arange(-w_max, w_max + 1)
-    theta3 = theta_table(w * x, np.array([1j * axes[0]]), n_max)[1][2][:, 0]
+    theta3 = theta_table(w * x, np.array([1j * axes[0]]), n_max, halves=False)[1][0][:, 0]
     return complex((np.exp(-np.pi * axes[1] * w * w) * theta3).sum())
 
 

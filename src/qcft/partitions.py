@@ -46,6 +46,8 @@ class PartitionConstraint:
             raise ConflictingConstraint("min_gap and window cannot both be active")
         if (self.allowed_residues is None) != (self.modulus is None):
             raise ValueError("allowed_residues and modulus must be given together")
+        if self.modulus is not None and self.modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
         if self.min_part < 1 or self.min_gap < 0:
             raise ValueError("need min_part >= 1 and min_gap >= 0")
         if self.window is not None and (self.window[0] < 1 or self.window[1] != 2):

@@ -3,7 +3,8 @@
 A series is q^a * (c_0 + c_1 q + ... + c_{N-1} q^{N-1}) with a rational and
 all c_n rational.  The prefactor exponent a carries objects like eta =
 q^{1/24} * prod (1 - q^n) exactly; the integer-indexed part keeps the Cauchy
-product simple.  Products and inverses clear denominators once and run over ints.
+product simple.  Each series clears its denominators once, on first use, and
+keeps the int numerators (numerators()); products and inverses run over them.
 No floating point enters anywhere in this module.
 """
 
@@ -34,16 +35,11 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _int_numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Clear denominators once: (numerators, d) with coeffs[n] = numerators[n] / d."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
 class FracQSeries:
     """Immutable truncated power series q^prefactor * sum coeffs[n] q^n."""
 
-    __slots__ = ("prefactor", "coeffs", "order")
+    # _numerators is filled by numerators() on first use; == and hash ignore it
+    __slots__ = ("prefactor", "coeffs", "order", "_numerators")
 
     def __init__(self, prefactor: RationalLike, coeffs: Iterable[RationalLike]):
         object.__setattr__(self, "prefactor", rat(prefactor))
@@ -93,6 +89,17 @@ class FracQSeries:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 6 else ""
         return f"FracQSeries(q^{self.prefactor} * [{head}{tail}], order={self.order})"
+
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """(a, d) over ints with coeffs[n] = a[n] / d and d the lcm of the denominators:
+        computed on the first call, the same pair afterwards."""
+        try:
+            return self._numerators
+        except AttributeError:
+            d = lcm(*(c.denominator for c in self.coeffs))
+            pair = tuple(c.numerator * (d // c.denominator) for c in self.coeffs), d
+            object.__setattr__(self, "_numerators", pair)
+            return pair
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -146,8 +153,8 @@ class FracQSeries:
         if not isinstance(other, FracQSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, da = _int_numerators(self.coeffs[:n])
-        b, db = _int_numerators(other.coeffs[:n])
+        a, da = self.numerators()
+        b, db = other.numerators()
         d = da * db
         coeffs = [Fraction(sum(map(mul, a[:k + 1], b[k::-1])), d) for k in range(n)]
         return FracQSeries(self.prefactor + other.prefactor, coeffs)
@@ -166,7 +173,7 @@ class FracQSeries:
         """
         if self.coeffs[0] == 0:
             raise ZeroLeadingCoefficient("leading coefficient is zero")
-        a, d = _int_numerators(self.coeffs)
+        a, d = self.numerators()
         a0 = a[0]
         w = [a[k] * a0 ** (k - 1) for k in range(1, self.order)]
         h = [1]

@@ -5,7 +5,9 @@ expanded over ints by euler_product.  The numeric side evaluates at
 q = exp(2*pi*i*tau) in numpy (imported lazily) over an array of tau, with one
 of each primitive: check_tau validates tau, adaptive_cutoff is the cutoff rule
 of every truncated q-sum (|q|^(n^p / p) below CUTOFF_TARGET, plus CUTOFF_MARGIN,
-at most MAX_CUTOFF), q_product the Euler product, theta_table the theta series.
+at most MAX_CUTOFF), q_product the Euler product, theta_table the theta series
+(with halves=False only its integer steps, theta_3 and theta_4).  evaluate_series
+sums a FracQSeries by Horner over the series' memoized int numerators.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ def adaptive_cutoff(tau, power: int = 1) -> int:
     plus CUTOFF_MARGIN: power 1 for Euler products, 2 for theta sums.  CutoffTooLarge
     above MAX_CUTOFF, raised before anything is allocated."""
     import numpy as np
-    y = float(np.min(check_tau(tau).imag))
+    y = check_tau(tau).imag
+    y = float(y.min() if isinstance(y, np.ndarray) else y)
     # exp(-2 pi y n^p / p) < target  <=>  n > (p log(1/target) / (2 pi y))^(1/p)
     bound = (-power * math.log(CUTOFF_TARGET) / (2 * math.pi * y)) ** (1 / power)
     return math.floor(check_cutoff(bound + 1 + CUTOFF_MARGIN))
@@ -145,7 +148,7 @@ def q_product(tau, sign: int, cutoff: int | None = None, residues=None):
     return np.multiply.reduce(1 + sign * np.exp(2j * np.pi * np.multiply.outer(n, tau)))
 
 
-def theta_table(zs, taus, cutoff: int | None = None):
+def theta_table(zs, taus, cutoff: int | None = None, halves: bool = True):
     """The exponent table of the four theta series and its sums, for each z of zs.
 
     table[k, :, t] = exp(pi i m^2 tau_t + 2 pi i m zs[k]) over m from -c to c + 3/2
@@ -153,18 +156,25 @@ def theta_table(zs, taus, cutoff: int | None = None):
     So the entries come in fours: an even integer n, n + 1/2, the odd n + 1, n + 3/2.
     theta_3 and theta_2 sum over integers and half-integers; theta_4 and theta_1 weigh
     them by (-1)^floor(m).  Returns (table, thetas), thetas[i - 1][k] = theta_i(zs[k]).
+
+    halves=False builds only the integer steps m from -c to c + 1, in pairs (even n,
+    odd n + 1), and returns (table, (theta_3, theta_4)), equal to the full table's.
     """
     import numpy as np
     c = adaptive_cutoff(taus, 2) if cutoff is None else check_cutoff(cutoff)
     c += c % 2   # MAX_CUTOFF is even, so this stays within it
-    m = np.arange(-2 * c, 2 * c + 4) / 2
+    k = 2 if halves else 1   # entries per unit of m
+    m = np.arange(-k * c, k * (c + 2)) / k
     # built in place: the table is the largest array of a row
     table = np.empty((len(zs), m.size, taus.size), dtype=complex)
     np.multiply.outer(1j * np.pi * m * m, taus, out=table[0])
     table[1:] = table[0]
     table += 2j * np.pi * np.asarray(zs, dtype=complex)[:, None, None] * m[:, None]
     np.exp(table, out=table)
-    parts = table.reshape(len(zs), c + 1, 4, taus.size).sum(axis=1)
+    parts = table.reshape(len(zs), c + 1, 2 * k, taus.size).sum(axis=1)
+    if not halves:
+        even, odd = parts.transpose(1, 0, 2)
+        return table, (even + odd, even - odd)
     even, even_half, odd, odd_half = parts.transpose(1, 0, 2)
     return table, (-1j * (even_half - odd_half), even_half + odd_half, even + odd, even - odd)
 
@@ -183,13 +193,16 @@ def eta_eval(tau: complex, cutoff: int | None = None) -> complex:
 def evaluate_series(f: FracQSeries, tau: complex) -> complex:
     """Numeric value of a FracQSeries at q = exp(2*pi*i*tau).
 
+    Horner over f.numerators(): n / d is int true division, correctly rounded like
+    complex(Fraction(n, d)), so each coefficient is the float of the exact rational.
     The prefactor q^a is evaluated as exp(2*pi*i*tau*a), which is the branch
     every formula in scope intends.
     """
     q = cmath.exp(2j * math.pi * check_tau(tau))
+    numerators, d = f.numerators()
     acc = 0j
-    for c in reversed(f.coeffs):
-        acc = acc * q + complex(c)
+    for n in reversed(numerators):
+        acc = acc * q + n / d
     a = f.prefactor
     if a != 0:
         acc *= cmath.exp(2j * math.pi * tau * complex(a))

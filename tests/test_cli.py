@@ -219,6 +219,15 @@ def test_import_leaves_numpy_unloaded(tmp_path):
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    package_root = Path(qcft.__file__).resolve().parent.parent
+    env = {"PATH": "/usr/bin:/bin", "HOME": str(tmp_path), "PYTHONPATH": str(package_root)}
+    run = subprocess.run([sys.executable, "-m", "qcft", "series"], env=env,
+                         capture_output=True)
+    assert run.returncode == 0, run.stderr
+    assert b'"series.' in run.stdout
+
+
 # -- CLI -------------------------------------------------------------------------
 
 def test_parse_progressions():

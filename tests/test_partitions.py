@@ -110,6 +110,12 @@ def test_constraint_validation():
     assert not PartitionConstraint(max_ones=1).parts_valid([3, 1, 1])
 
 
+@pytest.mark.parametrize("modulus", [0, -5])
+def test_constraint_rejects_modulus_below_one(modulus):
+    with pytest.raises(ValueError, match="modulus"):
+        PartitionConstraint(allowed_residues=frozenset({1}), modulus=modulus)
+
+
 def test_enumeration_cross_check_scope():
     # the oracle range of the rr.partition_oracle records is part of the contract
     assert ENUMERATION_LIMIT == 60

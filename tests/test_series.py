@@ -206,6 +206,49 @@ def test_invert_matches_fraction_recurrence(f):
     assert list(inv.coeffs) == fraction_inverse(f.coeffs)
 
 
+# -- the memoized numerators ---------------------------------------------------------
+
+def test_numerators_reproduce_coeffs_and_are_memoized():
+    f = poly(F(1, 2), F(-3, 4), 5, F(7, 60), prefactor=F(-1, 60))
+    pair = f.numerators()
+    a, d = pair
+    assert isinstance(a, tuple) and d == 60
+    assert tuple(F(n, d) for n in a) == f.coeffs
+    assert f.numerators() is pair
+
+
+def test_numerators_memo_keeps_the_series_immutable():
+    f = poly(1, F(1, 3))
+    f.numerators()
+    for name in ("prefactor", "coeffs", "order", "_numerators", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+
+
+def test_equality_and_hash_ignore_the_memo():
+    f, g = poly(F(2, 3), 1, prefactor=F(1, 5)), poly(F(2, 3), 1, prefactor=F(1, 5))
+    f.numerators()
+    assert f == g and hash(f) == hash(g)
+    assert f.to_record() == g.to_record()
+
+
+tail_rationals = st.builds(F, st.integers(-50, 50), st.sampled_from((11, 13, 121)))
+
+
+@given(wide_series(), wide_series(), st.lists(tail_rationals, min_size=1, max_size=20),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_mul_and_invert_with_memo_past_the_shorter_order(f, g, tail, warm):
+    # g's tail lies past f's order and brings denominators f's coefficients lack,
+    # so the common denominator of g's memo exceeds that of the product's terms
+    g = FracQSeries(g.prefactor, list(g.coeffs) + tail)
+    if warm:
+        f.numerators(), g.numerators()
+    assert list((f * g).coeffs) == fraction_product(f.coeffs, g.coeffs)
+    assert list((g * f).coeffs) == fraction_product(g.coeffs, f.coeffs)
+    assert list(g.invert().coeffs) == fraction_inverse(g.coeffs)
+
+
 def test_serialization_roundtrip_and_stability():
     f = poly(1, -2, F(3, 7), prefactor=F(-1, 60))
     rec = f.to_record()

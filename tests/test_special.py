@@ -164,6 +164,53 @@ def test_eta_eval_matches_series_evaluation():
     assert abs(eta_eval(tau) - evaluate_series(f, tau)) < 1e-13
 
 
+def horner_reference(f, tau):
+    """evaluate_series coefficient by coefficient: complex(Fraction) at each step."""
+    q = cmath.exp(2j * math.pi * tau)
+    acc = 0j
+    for c in reversed(f.coeffs):
+        acc = acc * q + complex(c)
+    if f.prefactor != 0:
+        acc *= cmath.exp(2j * math.pi * tau * complex(f.prefactor))
+    return acc
+
+
+def test_evaluate_series_equals_fraction_horner():
+    rng = random.Random(1101)
+    for _ in range(300):
+        coeffs = [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+                  for _ in range(rng.randint(1, 60))]
+        f = FracQSeries(F(rng.randint(-120, 120), 60), coeffs)
+        tau = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.08, 3.0))
+        assert evaluate_series(f, tau) == horner_reference(f, tau), (f, tau)
+    # 1 / (1 - 4q/3): coefficients (4/3)^k, denominators 3^k past order 600
+    f = FracQSeries(F(-1, 60), [1, F(-4, 3)] + [0] * 700).invert()
+    assert f.coeffs[650].denominator == 3 ** 650
+    for tau in (0.3j, 0.21 + 0.4j, -1.1 + 2.5j):
+        assert evaluate_series(f, tau) == horner_reference(f, tau)
+
+
+def test_evaluate_series_overflows_like_fraction():
+    f = FracQSeries(0, [1, 10 ** 400])
+    for evaluate in (evaluate_series, horner_reference):
+        with pytest.raises(OverflowError):
+            evaluate(f, 0.5j)
+
+
+def test_theta_table_integer_steps_equal_the_full_table():
+    taus = np.linspace(-0.7, 0.9, 11) + 1j * np.geomspace(0.08, 2.0, 11)
+    zs = (0.0, 0.31 + 0.05j, -1.7, 0.5j)
+    for cutoff in (None, 7, 12):
+        table, thetas = special.theta_table(zs, taus, cutoff)
+        half, (theta3, theta4) = special.theta_table(zs, taus, cutoff, halves=False)
+        c = half.shape[1] // 2 - 1
+        if cutoff is not None:
+            assert c == cutoff + cutoff % 2   # an odd cutoff is rounded up to even
+        assert np.array_equal(half, table[:, ::2])
+        assert np.array_equal(theta3, thetas[2])
+        assert np.array_equal(theta4, thetas[3])
+
+
 def test_eta_modular_inversion():
     # eta(-1/tau) = sqrt(-i tau) eta(tau)
     tau = 0.3 + 1.1j
