@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import CutoffTooLarge, NonpositiveRadius
-from .special import adaptive_cutoff, check_cutoff, check_tau, eta_eval, q_product, theta_table
+from .special import (adaptive_cutoff, check_cutoff, check_tau, check_terms, eta_eval, q_product,
+                      theta_table)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def theta_lattice_sum(R: float, tau: complex | TorusModulus,
         n_max, w_max = (adaptive_cutoff(1j * a, 2) for a in axes)
     else:
         n_max = w_max = check_cutoff(cutoff)
-    check_cutoff(n_max * w_max // 2)
+    check_terms(n_max * w_max // 2)
     w = np.arange(-w_max, w_max + 1)
     theta3 = theta_table(w * x, np.array([1j * axes[0]]), n_max, halves=False)[1][0][:, 0]
     return complex((np.exp(-np.pi * axes[1] * w * w) * theta3).sum())

@@ -10,8 +10,10 @@ Every value comes from one numpy kernel that evaluates a whole array of tau
 at fixed z (numpy is imported inside it, so `import qcft` does not load it):
 special.theta_table gives theta_1..theta_4 and mu's numerators, with the
 power-2 cutoff of special.adaptive_cutoff at the smallest Im tau unless a
-JacobiPoint gives its own.  The public functions of one point are
-one-element calls into it.
+JacobiPoint gives its own.  A JacobiPoint builds its one-element table at
+(z, 0) on first use and keeps it: jacobi_theta, elliptic_genus_k3 and the
+diagonal appell_lerch_mu all read it, and only an off-diagonal mu builds a
+table of its own.  mock_remainder is a one-element call into the array kernel.
 """
 
 from __future__ import annotations
@@ -24,9 +26,21 @@ from fractions import Fraction
 from .errors import (RoundingUnstable, ThetaConstantVanishes, ThetaZeroDivision,
                      ZDependenceDetected)
 from .series import rat_str
-from .special import check_cutoff, check_tau, eta_values, theta_table
+from .special import adaptive_cutoff, check_cutoff, check_tau, eta_values, theta_table
 
 DEFAULT_Z_LIST = (0.17 + 0.04j, 0.36 - 0.03j, 0.45 + 0.07j)
+
+
+def _check_z(z):
+    """z itself if it is finite, else ValueError."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"z = {z}: need a finite z")
+    return z
+
+
+def _one(tau):
+    import numpy as np
+    return np.array([tau], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -35,10 +49,27 @@ class JacobiPoint:
     tau: complex
     cutoff: int | None = None   # None: special.adaptive_cutoff; an int is used as given
 
+    # _table is filled by table() on first use; ==, hash, repr, copies and pickles ignore it
     def __post_init__(self):
+        _check_z(self.z)
         check_tau(self.tau)
         if self.cutoff is not None:
             check_cutoff(self.cutoff)
+
+    def __reduce__(self):
+        return JacobiPoint, (self.z, self.tau, self.cutoff)
+
+    def table(self):
+        """(taus, table, thetas): theta_table((z, 0), taus) at taus = [tau] and the point's
+        cutoff (the power-2 rule at tau if None), built on the first call and kept."""
+        try:
+            return self._table
+        except AttributeError:
+            taus = _one(self.tau)
+            cutoff = adaptive_cutoff(self.tau, 2) if self.cutoff is None else self.cutoff
+            kept = (taus, *theta_table((self.z, 0), taus, cutoff))
+            object.__setattr__(self, "_table", kept)
+            return kept
 
 
 def _theta1_guard(theta1, z) -> None:
@@ -87,29 +118,23 @@ def _mu(u: complex, v: complex, table_v, theta1_v, taus):
 
 def _remainder(z: complex, taus, kappa: complex):
     """elliptic_genus * eta^3 / theta_1^2 - kappa * mu(z, z) at each tau of an array."""
-    table, thetas = theta_table((z, 0), taus)
+    table, thetas = theta_table((_check_z(z), 0), taus)
     theta1 = thetas[0][0]
     _theta1_guard(theta1, z)
     eg = _elliptic_genus(thetas)
     return eg * eta_values(taus) ** 3 / theta1 ** 2 - kappa * _mu(z, z, table[0], theta1, taus)
 
 
-def _one(tau):
-    import numpy as np
-    return np.array([tau], dtype=complex)
-
-
 def jacobi_theta(i: int, p: JacobiPoint) -> complex:
     """theta_i(z, tau) by direct series summation, nome q = exp(2*pi*i*tau)."""
     if i not in (1, 2, 3, 4):
         raise ValueError("theta index must be 1..4")
-    return complex(theta_table((p.z,), _one(p.tau), p.cutoff)[1][i - 1][0, 0])
+    return complex(p.table()[2][i - 1][0, 0])
 
 
 def elliptic_genus_k3(p: JacobiPoint) -> complex:
     """8 * sum_{i=2,3,4} (theta_i(z,tau) / theta_i(0,tau))^2 (holomorphic form)."""
-    thetas = theta_table((p.z, 0), _one(p.tau), p.cutoff)[1]
-    return complex(_elliptic_genus(thetas)[0])
+    return complex(_elliptic_genus(p.table()[2])[0])
 
 
 def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
@@ -121,9 +146,13 @@ def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
     the elliptic genus to a z-independent remainder.
     """
     u = p.z
-    v = u if z2 is None else z2
-    taus = _one(p.tau)
-    table, thetas = theta_table((v,), taus, p.cutoff)
+    if z2 is None or z2 == u:
+        v = u
+        taus, table, thetas = p.table()
+    else:
+        v = _check_z(z2)
+        taus = _one(p.tau)
+        table, thetas = theta_table((v,), taus, p.cutoff)
     _theta1_guard(thetas[0][0], v)
     return complex(_mu(u, v, table[0], thetas[0][0], taus)[0])
 

@@ -51,6 +51,9 @@ class FracQSeries:
     def __setattr__(self, name, value):
         raise AttributeError("FracQSeries is immutable")
 
+    def __reduce__(self):   # copies and pickles rebuild through __init__, without the memo
+        return FracQSeries, (self.prefactor, self.coeffs)
+
     # -- constructors --------------------------------------------------------
 
     @classmethod

@@ -5,8 +5,11 @@ expanded over ints by euler_product.  The numeric side evaluates at
 q = exp(2*pi*i*tau) in numpy (imported lazily) over an array of tau, with one
 of each primitive: check_tau validates tau, adaptive_cutoff is the cutoff rule
 of every truncated q-sum (|q|^(n^p / p) below CUTOFF_TARGET, plus CUTOFF_MARGIN,
-at most MAX_CUTOFF), q_product the Euler product, theta_table the theta series
-(with halves=False only its integer steps, theta_3 and theta_4).  evaluate_series
+at most MAX_CUTOFF by check_terms), check_cutoff validates an explicit cutoff (an
+int >= 1, at most MAX_CUTOFF), q_product the Euler product, theta_table the theta
+series (with halves=False only its integer steps, theta_3 and theta_4).  Each
+kernel checks tau once: adaptive_cutoff does it on the rule path, check_tau beside
+check_cutoff on the explicit one, before anything is allocated.  evaluate_series
 sums a FracQSeries by Horner over the series' memoized int numerators.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable
 
 from .errors import CutoffTooLarge, NotInUpperHalfPlane
@@ -112,11 +116,18 @@ CUTOFF_MARGIN = 3
 MAX_CUTOFF = 8192
 
 
+def check_terms(terms):
+    """terms itself if it is at most MAX_CUTOFF, else CutoffTooLarge (also for NaN)."""
+    if not terms <= MAX_CUTOFF:
+        raise CutoffTooLarge(f"a cutoff of {terms:.6g} terms exceeds MAX_CUTOFF = {MAX_CUTOFF}")
+    return terms
+
+
 def check_cutoff(cutoff):
-    """cutoff itself if it is at most MAX_CUTOFF, else CutoffTooLarge."""
-    if not cutoff <= MAX_CUTOFF:
-        raise CutoffTooLarge(f"a cutoff of {cutoff:.6g} terms exceeds MAX_CUTOFF = {MAX_CUTOFF}")
-    return cutoff
+    """An explicit cutoff= itself if it is an int >= 1 (else ValueError) and passes check_terms."""
+    if not isinstance(cutoff, Integral) or cutoff < 1:
+        raise ValueError(f"cutoff = {cutoff!r}: need an int >= 1")
+    return check_terms(cutoff)
 
 
 def adaptive_cutoff(tau, power: int = 1) -> int:
@@ -128,7 +139,7 @@ def adaptive_cutoff(tau, power: int = 1) -> int:
     y = float(y.min() if isinstance(y, np.ndarray) else y)
     # exp(-2 pi y n^p / p) < target  <=>  n > (p log(1/target) / (2 pi y))^(1/p)
     bound = (-power * math.log(CUTOFF_TARGET) / (2 * math.pi * y)) ** (1 / power)
-    return math.floor(check_cutoff(bound + 1 + CUTOFF_MARGIN))
+    return math.floor(check_terms(bound + 1 + CUTOFF_MARGIN))
 
 
 def q_product(tau, sign: int, cutoff: int | None = None, residues=None):
@@ -139,8 +150,11 @@ def q_product(tau, sign: int, cutoff: int | None = None, residues=None):
     adaptive_cutoff at the smallest Im tau, so every entry is converged.
     """
     import numpy as np
-    check_tau(tau)
-    cutoff = adaptive_cutoff(tau) if cutoff is None else check_cutoff(cutoff)
+    if cutoff is None:
+        cutoff = adaptive_cutoff(tau)   # which checks tau
+    else:
+        check_tau(tau)
+        check_cutoff(cutoff)
     n = np.arange(1, cutoff + 1)
     if residues is not None:
         modulus, kept = residues
@@ -182,7 +196,8 @@ def theta_table(zs, taus, cutoff: int | None = None, halves: bool = True):
 def eta_values(tau, cutoff: int | None = None):
     """Numeric eta = q^{1/24} prod_{n<=cutoff} (1 - q^n) at each tau of an array."""
     import numpy as np
-    return np.exp(2j * np.pi * check_tau(tau) / 24) * q_product(tau, -1, cutoff)
+    product = q_product(tau, -1, cutoff)   # which checks tau and cutoff
+    return np.exp(2j * np.pi * tau / 24) * product
 
 
 def eta_eval(tau: complex, cutoff: int | None = None) -> complex:

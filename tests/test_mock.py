@@ -4,7 +4,9 @@ and mpmath at 30 digits; the mu function is pinned by its quasi-periodicity
 in both arguments and by its defining sum evaluated in mpmath."""
 
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import mpmath
@@ -288,3 +290,74 @@ def test_large_imaginary_tau():
         assert_relative(mu(0.2 + 0.1j, 0.4, tau), mp_mu(0.2 + 0.1j, 0.4, tau), 1e-10, tau)
     vals = [mock_remainder(z, tau) for z in DEFAULT_Z_LIST]
     assert max(abs(a - vals[0]) for a in vals) < 1e-9 * abs(vals[0])
+
+
+# -- one theta table per point -----------------------------------------------------------
+
+def test_one_point_builds_one_table(monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return special.theta_table(*args, **kwargs)
+
+    monkeypatch.setattr(mock, "theta_table", counted)
+    p = JacobiPoint(0.27 + 0.06j, TAU)
+    for i in (1, 2, 3, 4):
+        jacobi_theta(i, p)
+    elliptic_genus_k3(p)
+    appell_lerch_mu(p)
+    appell_lerch_mu(p, z2=p.z)
+    assert len(builds) == 1
+    appell_lerch_mu(p, z2=0.41 - 0.03j)   # off the diagonal: a one-row table of its own
+    assert builds == [(p.z, 0), (0.41 - 0.03j,)]
+
+
+def one_row_values(z, tau, cutoff):
+    """theta_1..4, the elliptic genus and mu(z, z), each from its own table, as
+    every call built one before points kept theirs."""
+    taus = np.array([tau], dtype=complex)
+    thetas = [complex(special.theta_table((z,), taus, cutoff)[1][i - 1][0, 0])
+              for i in (1, 2, 3, 4)]
+    eg = complex(mock._elliptic_genus(special.theta_table((z, 0), taus, cutoff)[1])[0])
+    table, row = special.theta_table((z,), taus, cutoff)
+    mu_zz = complex(mock._mu(z, z, table[0], row[0][0], taus)[0])
+    return thetas, eg, mu_zz
+
+
+@pytest.mark.parametrize("cutoff", [None, 7, 13, 24])
+def test_point_table_equals_one_row_tables(cutoff):
+    for tau, z, _ in seeded_points(40, 12):
+        p = JacobiPoint(z, tau, cutoff)
+        got = ([jacobi_theta(i, p) for i in (1, 2, 3, 4)], elliptic_genus_k3(p),
+               appell_lerch_mu(p))
+        assert got == one_row_values(z, tau, cutoff), (tau, z)
+
+
+def test_point_memo_is_invisible():
+    p, fresh = JacobiPoint(0.31 + 0.05j, TAU, 13), JacobiPoint(0.31 + 0.05j, TAU, 13)
+    value = jacobi_theta(3, p)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert other == p and hash(other) == hash(p) and repr(other) == repr(p)
+        assert "_table" not in vars(other)   # rebuilt on first use, not carried over
+        assert jacobi_theta(3, other) == value
+    with pytest.raises(AttributeError):
+        p.z = 0.2
+
+
+NONFINITE_Z = [math.nan, math.inf, complex(0.2, math.nan), complex(-math.inf, 0.1)]
+
+
+@pytest.mark.parametrize("z", NONFINITE_Z, ids=repr)
+def test_nonfinite_z_raises(z):
+    with pytest.raises(ValueError, match="finite z"):
+        JacobiPoint(z, TAU)
+    with pytest.raises(ValueError, match="finite z"):
+        mock_remainder(z, TAU)
+    with pytest.raises(ValueError, match="finite z"):
+        appell_lerch_mu(JacobiPoint(0.2, TAU), z2=z)
+    with pytest.raises(ValueError, match="finite z"):
+        mock._remainder(z, np.array([TAU, 0.1 + 0.5j]), 24)
+    with pytest.raises(ValueError, match="finite z"):
+        extract_mock_coefficients(z_list=(0.17 + 0.04j, 0.36 - 0.03j, z))

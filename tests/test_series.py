@@ -1,5 +1,7 @@
 """Exact series arithmetic: frozen examples plus ring-axiom property tests."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -262,3 +264,16 @@ def test_normalized_shifts_leading_zeros():
     g = f.normalized()
     assert g.prefactor == F(5, 2)
     assert g.coeffs == (F(5),)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_copy_and_pickle_rebuild_the_series(warm):
+    f = poly(F(2, 3), -1, F(5, 7), prefactor=F(-1, 60))
+    if warm:
+        f.numerators()
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and hash(g) == hash(f)
+        assert not hasattr(g, "_numerators")   # rebuilt, not carried over
+        assert g.numerators() == f.numerators()
+        with pytest.raises(AttributeError):
+            g.order = 1

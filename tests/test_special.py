@@ -337,3 +337,21 @@ EXTREME_INPUTS = {
 def test_extreme_inputs_raise_cutoff_too_large(entry):
     with pytest.raises(CutoffTooLarge):
         EXTREME_INPUTS[entry]()
+
+
+EXPLICIT_CUTOFF_ENTRY_POINTS = {
+    "q_product": lambda c: special.q_product(0.5j, 1, c),
+    "eta_values": lambda c: special.eta_values(np.array([0.1 + 0.5j, 0.5j]), c),
+    "eta_eval": lambda c: eta_eval(0.1 + 0.5j, c),
+    "theta_table": lambda c: special.theta_table((0.2,), np.array([0.5j]), c),
+    "JacobiPoint": lambda c: mock.JacobiPoint(0.3, 0.5j, c),
+    "theta_lattice_sum": lambda c: boson.theta_lattice_sum(1.0, 0.5j, c),
+    "torus_partition_function_25": lambda c: virasoro.torus_partition_function_25(0.5j, c),
+}
+
+
+@pytest.mark.parametrize("cutoff", [0, -3, 2.5], ids=repr)
+@pytest.mark.parametrize("entry", sorted(EXPLICIT_CUTOFF_ENTRY_POINTS))
+def test_explicit_cutoff_must_be_a_positive_int(entry, cutoff):
+    with pytest.raises(ValueError, match="int >= 1"):
+        EXPLICIT_CUTOFF_ENTRY_POINTS[entry](cutoff)
