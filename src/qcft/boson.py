@@ -18,14 +18,6 @@ from .special import (adaptive_cutoff, check_cutoff, check_tau, check_terms, eta
 
 
 @dataclass(frozen=True)
-class TorusModulus:
-    tau: complex
-
-    def __post_init__(self):
-        check_tau(self.tau)
-
-
-@dataclass(frozen=True)
 class LatticeSpec:
     """Periodic rectangular grid: site counts and physical side lengths."""
 
@@ -39,16 +31,13 @@ class LatticeSpec:
             raise ValueError("side lengths must be positive")
 
 
-def theta_lattice_sum(R: float, tau: complex | TorusModulus,
-                      cutoff: int | None = None) -> complex:
+def theta_lattice_sum(R: float, tau: complex, cutoff: int | None = None) -> complex:
     """Momentum/winding double sum: sum over (n, w) of q^{p_L^2/2} qbar^{p_R^2/2},
     as sum_w e^{-pi y R^2 w^2 / 2} theta_3(w x | 2iy / R^2) at tau = x + iy: one
     special.theta_table of integer steps (halves=False) with a z per winding.  Each
     axis takes the power-2 rule, and n_max * w_max / 2 (about the power-1 cutoff at y)
     is held to MAX_CUTOFF too."""
     import numpy as np
-    if isinstance(tau, TorusModulus):
-        tau = tau.tau
     if not 0 < R < math.inf:
         raise NonpositiveRadius(f"R = {R}")
     x, y = check_tau(tau).real, tau.imag
@@ -65,20 +54,14 @@ def theta_lattice_sum(R: float, tau: complex | TorusModulus,
     return complex((np.exp(-np.pi * axes[1] * w * w) * theta3).sum())
 
 
-def boson_partition_function(R: float, tau: complex | TorusModulus,
-                             cutoff: int | None = None) -> float:
+def boson_partition_function(R: float, tau: complex, cutoff: int | None = None) -> float:
     """Z_R(tau) = Theta_R(tau) / |eta(tau)|^2; real and positive."""
-    if isinstance(tau, TorusModulus):
-        tau = tau.tau
     theta = theta_lattice_sum(R, tau, cutoff)
     return theta.real / abs(eta_eval(tau)) ** 2
 
 
-def twisted_boson_partition_function(tau: complex | TorusModulus,
-                                     cutoff: int | None = None) -> float:
+def twisted_boson_partition_function(tau: complex, cutoff: int | None = None) -> float:
     """|prod_n (1 + q^n)^{-1}|^2; structurally independent of the radius."""
-    if isinstance(tau, TorusModulus):
-        tau = tau.tau
     return 1.0 / abs(complex(q_product(tau, 1, cutoff))) ** 2
 
 

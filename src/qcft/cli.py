@@ -85,21 +85,22 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = reports_to_bytes(reports)
     sys.stdout.write(payload.decode())
-    if cfg.output_path:
-        Path(cfg.output_path).write_bytes(payload)
-
-    ok = all(r.passed for r in reports)
-    if args.golden:
-        golden = Path(args.golden)
-        try:
+    try:
+        if cfg.output_path:
+            Path(cfg.output_path).write_bytes(payload)
+        if args.golden:
+            golden = Path(args.golden)
             if golden.exists():
                 compare_golden(reports, golden, cfg.float_tolerance)
             else:
                 write_golden(reports, golden)
-        except GoldenMismatch as e:
-            print(f"qcft: golden mismatch: {e}", file=sys.stderr)
-            return 1
-    return 0 if ok else 1
+    except OSError as e:
+        print(f"qcft: {e}", file=sys.stderr)
+        return 2
+    except GoldenMismatch as e:
+        print(f"qcft: golden mismatch: {e}", file=sys.stderr)
+        return 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 if __name__ == "__main__":

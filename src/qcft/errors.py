@@ -15,10 +15,6 @@ class ZeroLeadingCoefficient(QcftError):
     """Inversion of a series whose leading coefficient vanishes."""
 
 
-class ExponentOutOfRange(QcftError):
-    """Coefficient requested outside the stored range of a series."""
-
-
 # -- partitions --------------------------------------------------------------
 
 class ConflictingConstraint(QcftError):

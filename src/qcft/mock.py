@@ -26,15 +26,20 @@ from fractions import Fraction
 from .errors import (RoundingUnstable, ThetaConstantVanishes, ThetaZeroDivision,
                      ZDependenceDetected)
 from .series import rat_str
-from .special import adaptive_cutoff, check_cutoff, check_tau, eta_values, theta_table
+from .special import (CUTOFF_MARGIN, adaptive_cutoff, check_cutoff, check_tau, eta_values,
+                      theta_table)
 
 DEFAULT_Z_LIST = (0.17 + 0.04j, 0.36 - 0.03j, 0.45 + 0.07j)
 
 
-def _check_z(z):
-    """z itself if it is finite, else ValueError."""
+def _check_z(z, tau=None):
+    """z itself if it is finite and, given a valid tau, |Im z| <= CUTOFF_MARGIN * Im tau,
+    else ValueError.  The theta terms peak at m = -Im z / Im tau, and the cutoff's margin
+    is what keeps that peak inside the table."""
     if not cmath.isfinite(z):
         raise ValueError(f"z = {z}: need a finite z")
+    if tau is not None and abs(z.imag) > CUTOFF_MARGIN * tau.imag:
+        raise ValueError(f"z = {z} at tau = {tau}: need |Im z| <= {CUTOFF_MARGIN} Im tau")
     return z
 
 
@@ -51,8 +56,7 @@ class JacobiPoint:
 
     # _table is filled by table() on first use; ==, hash, repr, copies and pickles ignore it
     def __post_init__(self):
-        _check_z(self.z)
-        check_tau(self.tau)
+        _check_z(self.z, check_tau(self.tau))
         if self.cutoff is not None:
             check_cutoff(self.cutoff)
 
@@ -150,7 +154,7 @@ def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
         v = u
         taus, table, thetas = p.table()
     else:
-        v = _check_z(z2)
+        v = _check_z(z2, p.tau)
         taus = _one(p.tau)
         table, thetas = theta_table((v,), taus, p.cutoff)
     _theta1_guard(thetas[0][0], v)
@@ -179,7 +183,7 @@ class MockCoefficients:
 
 def mock_remainder(z: complex, tau: complex, kappa: complex = 24) -> complex:
     """elliptic_genus * eta^3 / theta_1^2 - kappa * mu at one point."""
-    return complex(_remainder(z, _one(tau), kappa)[0])
+    return complex(_remainder(_check_z(z, check_tau(tau)), _one(tau), kappa)[0])
 
 
 def extract_mock_coefficients(y0: float = 0.3,
@@ -205,6 +209,8 @@ def extract_mock_coefficients(y0: float = 0.3,
         raise ValueError("need at least 3 distinct z values")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
+    for z in z_list:
+        _check_z(z, 1j * y0)
 
     taus = np.arange(grid) / grid + 1j * y0
     q_eighth = np.exp(2j * np.pi * taus / 8)

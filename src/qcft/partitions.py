@@ -10,7 +10,6 @@ n = 60.  Two independent DPs check the Andrews-Gordon identity, one per side.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -94,9 +93,6 @@ class CountTable:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def to_record(self) -> list[str]:
-        return [str(v) for v in self.values]
 
 
 def _enumerate_counts(n_max: int, c: PartitionConstraint) -> list[int]:
@@ -255,13 +251,3 @@ def gordon_check(k: int, i: int, n_max: int) -> CheckReport:
         residual="0/1" if not bad else str(len(bad)),
         details={"counterexamples": bad} if bad else None,
     )
-
-
-# -- growth probe ----------------------------------------------------------------
-
-def growth_probe(n: int) -> tuple[float, float]:
-    """(log p(n), pi * sqrt(2n/3)) for inspecting the Hardy-Ramanujan growth rate."""
-    if not (100 <= n <= 5000):
-        raise ValueError("probe range is 100 <= n <= 5000")
-    pn = unrestricted_p(n)[n]
-    return math.log(pn), math.pi * math.sqrt(2 * n / 3)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidProgression
-from .series import DEFAULT_ORDER, FracQSeries, rat_str
+from .series import DEFAULT_ORDER, FracQSeries
 from .special import euler_product
 
 
@@ -43,40 +43,31 @@ class ArithmeticProgressionSet:
         return sorted(out)
 
 
-@dataclass(frozen=True)
-class RegularizedValue:
-    value: Fraction
-    method: str  # "Hurwitz" or "RamanujanNaive"
-
-    def to_record(self) -> dict:
-        return {"value": rat_str(self.value), "method": self.method}
-
-
 def _validate(p: int, r: int):
     if p < 1 or not (1 <= r <= p):
         raise InvalidProgression(f"(p, r) = ({p}, {r})")
 
 
-def hurwitz_sum(p: int, r: int) -> RegularizedValue:
+def hurwitz_sum(p: int, r: int) -> Fraction:
     """sum_{n>=0} (pn + r) = r(p-r)/(2p) - p/12."""
     _validate(p, r)
-    return RegularizedValue(Fraction(r * (p - r), 2 * p) - Fraction(p, 12), "Hurwitz")
+    return Fraction(r * (p - r), 2 * p) - Fraction(p, 12)
 
 
-def ramanujan_naive_sum(p: int, r: int) -> RegularizedValue:
+def ramanujan_naive_sum(p: int, r: int) -> Fraction:
     """p * sum(n) + r * sum(1) with sum(n) = -1/12 and sum(1) = 1 + zeta(0) = 1/2."""
     _validate(p, r)
-    return RegularizedValue(Fraction(-p, 12) + Fraction(r, 2), "RamanujanNaive")
+    return Fraction(-p, 12) + Fraction(r, 2)
 
 
 def naive_defect(p: int, r: int) -> Fraction:
     """hurwitz - naive; equals -r^2/(2p) for every progression."""
-    return hurwitz_sum(p, r).value - ramanujan_naive_sum(p, r).value
+    return hurwitz_sum(p, r) - ramanujan_naive_sum(p, r)
 
 
 def casimir_exponent(s: ArithmeticProgressionSet) -> Fraction:
     """Half the regularized sum over the spectrum (the q-prefactor exponent)."""
-    total = sum((hurwitz_sum(p, r).value for p, r in s.progressions), Fraction(0))
+    total = sum((hurwitz_sum(p, r) for p, r in s.progressions), Fraction(0))
     return total / 2
 
 
@@ -98,7 +89,7 @@ def twisted_oscillator_series(s: ArithmeticProgressionSet,
 
 def critical_dimension() -> int:
     """Transverse oscillator count forced by a massless level-1 state, plus 2."""
-    vacuum_per_dimension = hurwitz_sum(1, 1).value / 2  # -1/24
+    vacuum_per_dimension = hurwitz_sum(1, 1) / 2  # -1/24
     d_t = Fraction(1) / (-vacuum_per_dimension)         # solves 1 + d_t * (-1/24) = 0
     assert d_t == 24
     return int(d_t) + 2

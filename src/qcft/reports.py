@@ -57,9 +57,15 @@ def compare_golden(reports: list[CheckReport], path: str | Path,
                    tolerance: float = 1e-8) -> bool:
     """Exact comparison for exact checks, tolerance-aware for numeric ones.
 
-    Raises GoldenMismatch naming the first differing record.
+    Raises GoldenMismatch naming the first differing record, or for a file that is
+    not a JSON array of records.
     """
-    stored = json.loads(Path(path).read_text())
+    try:
+        stored = json.loads(Path(path).read_text())
+    except ValueError as e:   # JSONDecodeError and UnicodeDecodeError
+        raise GoldenMismatch(f"{path} is not JSON: {e}") from None
+    if not (isinstance(stored, list) and all(isinstance(r, dict) for r in stored)):
+        raise GoldenMismatch(f"{path} is not a JSON array of records")
     records = [r.to_record() for r in reports]
     if len(stored) != len(records):
         raise GoldenMismatch(f"record count {len(records)} != stored {len(stored)}")

@@ -15,7 +15,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import ExponentOutOfRange, NonAlignablePrefactor, ZeroLeadingCoefficient
+from .errors import NonAlignablePrefactor, ZeroLeadingCoefficient
 
 #: Default truncation order: coefficients through q^(a+200).
 DEFAULT_ORDER = 201
@@ -61,10 +61,6 @@ class FracQSeries:
         return cls(0, [1] + [0] * (order - 1))
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "FracQSeries":
-        return cls(0, [0] * order)
-
-    @classmethod
     def monomial(cls, exponent: RationalLike, order: int = DEFAULT_ORDER) -> "FracQSeries":
         """q^exponent as a series."""
         return cls(exponent, [1] + [0] * (order - 1))
@@ -106,15 +102,6 @@ class FracQSeries:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def normalized(self) -> "FracQSeries":
-        """Shift leading zero coefficients into the prefactor (zero stays put)."""
-        k = 0
-        while k < self.order and self.coeffs[k] == 0:
-            k += 1
-        if k == 0 or k == self.order:
-            return self
-        return FracQSeries(self.prefactor + k, self.coeffs[k:])
 
     # -- ring operations -------------------------------------------------------
 
@@ -190,26 +177,6 @@ class FracQSeries:
         a = self.prefactor
         return FracQSeries(a, [(a + n) * c for n, c in enumerate(self.coeffs)])
 
-    def substitute_power(self, k: int) -> "FracQSeries":
-        """The substitution q -> q^k; the valid order scales with k."""
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        n = (self.order - 1) * k + 1
-        coeffs = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * k] = c
-        return FracQSeries(self.prefactor * k, coeffs)
-
-    # -- queries ---------------------------------------------------------------
-
-    def coefficient_at(self, e: RationalLike) -> Fraction:
-        """Exact coefficient of q^e; e - prefactor must be an integer in range."""
-        d = rat(e) - self.prefactor
-        if d.denominator != 1 or not (0 <= d < self.order):
-            raise ExponentOutOfRange(f"exponent {e} not stored (prefactor {self.prefactor}, "
-                                     f"order {self.order})")
-        return self.coeffs[int(d)]
-
     def mul_sparse(self, exponent: int, coefficient: RationalLike) -> "FracQSeries":
         """Multiply by the binomial (1 + coefficient * q^exponent) in O(order)."""
         c = rat(coefficient)
@@ -227,10 +194,3 @@ class FracQSeries:
             "order": self.order,
             "coeffs": [rat_str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "FracQSeries":
-        s = cls(Fraction(rec["prefactor"]), [Fraction(c) for c in rec["coeffs"]])
-        if s.order != rec["order"]:
-            raise ValueError("order field disagrees with coefficient count")
-        return s

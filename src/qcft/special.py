@@ -89,11 +89,6 @@ def rr_product(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     return FracQSeries(0, euler_product(_rr_parts(which, order), -1, True, order))
 
 
-def rr_complement(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:
-    """The finite product prod (1 - q^e) over the residues of G or H (not inverted)."""
-    return FracQSeries(0, euler_product(_rr_parts(which, order), -1, False, order))
-
-
 def check_tau(tau):
     """tau itself if it is finite with Im(tau) > 0, else NotInUpperHalfPlane.
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import LevelTooLarge
 from .partitions import PartitionConstraint, count_partitions
 from .series import DEFAULT_ORDER, FracQSeries
-from .special import RR_MODULUS, RR_RESIDUES, check_tau, eisenstein, q_product, rr_product
+from .special import RR_MODULUS, RR_RESIDUES, eisenstein, q_product, rr_product
 
 # every Gram determinant up to this level is in reach: level 6 (dimension 11) in under 1 s
 MAX_GRAM_LEVEL = 6
@@ -370,12 +370,12 @@ def character_25(sector: str, order: int = DEFAULT_ORDER) -> FracQSeries:
 
 def torus_partition_function_25(tau: complex, cutoff: int | None = None) -> float:
     """The sum over the sectors of |q^a / prod (1 - q^n)|^2 at q = exp(2*pi*i*tau), with
-    a = CHARACTER_PREFACTOR and n over the sector's product; cutoff as in q_product."""
-    check_tau(tau)
+    a = CHARACTER_PREFACTOR and n over the sector's product; cutoff as in q_product,
+    which also checks tau before the first exp."""
     total = 0.0
     for sector, which in SECTOR_PRODUCT.items():
-        prefactor = cmath.exp(2j * math.pi * tau * float(CHARACTER_PREFACTOR[sector]))
         product = complex(q_product(tau, -1, cutoff, (RR_MODULUS, RR_RESIDUES[which])))
+        prefactor = cmath.exp(2j * math.pi * tau * float(CHARACTER_PREFACTOR[sector]))
         total += abs(prefactor / product) ** 2
     return total
 
@@ -404,10 +404,3 @@ def ode_residual(which: str, order: int = DEFAULT_ORDER,
     lhs = serre_derivative(dz, 2)
     rhs = rhs_coefficient * (eisenstein(4, order) * z)
     return lhs - rhs
-
-
-def scale_anomaly(c, genus: int, lam: float) -> float:
-    """Rescaling factor lambda^{c (1 - g) / 6} of the partition function."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return float(lam) ** (float(c) * (1 - genus) / 6)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qcft.boson import (LatticeSpec, TorusModulus, boson_partition_function,
+from qcft.boson import (LatticeSpec, boson_partition_function,
                         continuum_determinant_ratio, lattice_determinant_ratio,
                         theta_lattice_sum, twisted_boson_partition_function)
 from qcft.errors import NonpositiveRadius, NotInUpperHalfPlane
@@ -99,8 +99,6 @@ def test_input_validation():
             boson_partition_function(R, TAU)
     with pytest.raises(NotInUpperHalfPlane):
         theta_lattice_sum(1.0, 0.5 - 0.2j)
-    with pytest.raises(NotInUpperHalfPlane):
-        TorusModulus(1.0 + 0j)
     with pytest.raises(NotInUpperHalfPlane):
         twisted_boson_partition_function(0.3 - 1j)
 

@@ -292,6 +292,29 @@ def test_golden_cycle_via_cli(tmp_path, capsys):
     assert "golden mismatch" in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["series", *ORDER_ARGS, "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcft: ") and "missing" in err
+
+
+def test_golden_directory_exits_2(tmp_path, capsys):
+    assert main(["series", *ORDER_ARGS, "--golden", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcft: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("text", ["not json", '{"a": 1, "b": 2}', "[1, 2]", b"\xff\xfe"], ids=repr)
+def test_golden_that_is_not_records_is_a_mismatch(tmp_path, capsys, text):
+    golden = tmp_path / "bad.json"
+    golden.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(GoldenMismatch):
+        compare_golden(sample_reports(), golden)
+    assert main(["series", *ORDER_ARGS, "--golden", str(golden)]) == 1
+    assert capsys.readouterr().err.startswith("qcft: golden mismatch: ")
+
+
 def test_custom_progression_values(capsys):
     assert main(["casimir", *ORDER_ARGS, "--progressions", "5:1,4"]) == 0
     records = json.loads(capsys.readouterr().out)

@@ -8,6 +8,7 @@ import copy
 import math
 import pickle
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -361,3 +362,36 @@ def test_nonfinite_z_raises(z):
         mock._remainder(z, np.array([TAU, 0.1 + 0.5j]), 24)
     with pytest.raises(ValueError, match="finite z"):
         extract_mock_coefficients(z_list=(0.17 + 0.04j, 0.36 - 0.03j, z))
+
+
+# the theta terms peak at m = -Im z / Im tau; the cutoff's margin covers |Im z| <= 3 Im tau
+EDGE = special.CUTOFF_MARGIN * TAU.imag
+
+
+def test_z_bound_keeps_values_to_the_edge():
+    with mpmath.workdps(30):
+        for z in (0.2 + 1j * EDGE, 0.2 - 1j * EDGE):
+            for i in (1, 2, 3, 4):
+                assert_relative(theta(i, z), mp_theta(i, z, TAU), 1e-10, (i, z))
+            assert_relative(mu(z, 0.3), mp_mu(z, 0.3, TAU), 1e-10, ("mu", z))
+            assert_relative(mu(0.3, z), mp_mu(0.3, z, TAU), 1e-10, ("mu", z))
+            with pytest.raises(ValueError, match="Im z"):
+                JacobiPoint(z + 1e-9j * z.imag, TAU)
+
+
+PAST_THE_BOUND = [(0.2 + 1.001j * EDGE, TAU), (0.2 - 1.001j * EDGE, TAU), (0.2 + 40j, 0.5j)]
+
+
+@pytest.mark.parametrize("z,tau", PAST_THE_BOUND, ids=["above", "below", "far"])
+def test_z_past_the_bound_raises(z, tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # raised before numpy sees the point
+        with pytest.raises(ValueError, match="Im z"):
+            JacobiPoint(z, tau)
+        with pytest.raises(ValueError, match="Im z"):
+            mock_remainder(z, tau)
+        with pytest.raises(ValueError, match="Im z"):
+            appell_lerch_mu(JacobiPoint(0.2, tau), z2=z)
+        past = complex(z.real, z.imag / tau.imag * 0.3)   # the same ratio at y0 = 0.3
+        with pytest.raises(ValueError, match="Im z"):
+            extract_mock_coefficients(y0=0.3, z_list=(0.17, 0.36, past))

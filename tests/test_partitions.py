@@ -2,9 +2,8 @@
 cross-checks are explicit here: frozen values, the unrestricted DP against the
 pentagonal recurrence and the product expansion to n = 100, both Andrews-Gordon
 sides against the backtracking enumerator, a property test of the enumerator
-and the DPs, and the asymptotic growth probe."""
+and the DPs."""
 
-import math
 from functools import cache
 
 import pytest
@@ -15,7 +14,7 @@ from qcft import partitions
 from qcft.errors import ConflictingConstraint
 from qcft.partitions import (ENUMERATION_LIMIT, GORDON_LIMIT, PartitionConstraint,
                              _dp_counts, _dp_window, _enumerate_counts, _gordon_constraints,
-                             count_partitions, gordon_check, growth_probe, unrestricted_p)
+                             count_partitions, gordon_check, unrestricted_p)
 
 GORDON_SHAPES = [(k, i) for k in (2, 3, 4) for i in range(1, k + 1)]
 # the four constraints the rr report counts with: G and H, gap and congruence
@@ -198,23 +197,3 @@ def test_enumerator_and_dp_match_definition(c):
     brute = [sum(1 for p in all_partitions(n) if c.parts_valid(p)) for n in range(25)]
     assert _enumerate_counts(24, c) == brute
     assert _dp_counts(40, c) == _enumerate_counts(40, c)
-
-
-def test_growth_probe_monotone_toward_one():
-    ratios = []
-    for n in (100, 400, 1000, 5000):
-        log_p, hr = growth_probe(n)
-        assert math.isclose(hr, math.pi * math.sqrt(2 * n / 3))
-        ratios.append(log_p / hr)
-    assert all(0 < r < 1 for r in ratios)
-    assert ratios == sorted(ratios)
-    # frozen reference values from the exact recurrence
-    assert abs(ratios[0] - math.log(190569292) / (math.pi * math.sqrt(200 / 3))) < 1e-12
-    assert 0.89 < ratios[2] < 0.90
-
-
-def test_growth_probe_range():
-    with pytest.raises(ValueError):
-        growth_probe(50)
-    with pytest.raises(ValueError):
-        growth_probe(6000)

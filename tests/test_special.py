@@ -17,7 +17,7 @@ from qcft.errors import CutoffTooLarge, NotInUpperHalfPlane
 from qcft.series import FracQSeries
 from qcft.special import (CUTOFF_MARGIN, CUTOFF_TARGET, MAX_CUTOFF, adaptive_cutoff,
                           dedekind_eta, eisenstein, euler_product, eta_eval, evaluate_series,
-                          rr_complement, rr_product)
+                          rr_product)
 
 ORDER = 40
 
@@ -128,12 +128,6 @@ def test_rr_small_values():
     assert int(g.coeffs[4]) == 2   # {4}, {1,1,1,1}
     assert int(h.coeffs[5]) == 1   # {3,2}
     assert int(h.coeffs[7]) == 2   # {7}, {3,2,2}
-
-
-def test_rr_complement_is_reciprocal():
-    g = rr_product("G", 20)
-    comp = rr_complement("G", 20)
-    assert g * comp == FracQSeries.one(20)
 
 
 # -- euler_product ------------------------------------------------------------------
@@ -286,7 +280,6 @@ NUMERIC_ENTRY_POINTS = {
     "JacobiPoint": lambda t: mock.JacobiPoint(0.2, t),
     "mock_remainder": lambda t: mock.mock_remainder(0.2, t),
     "kernel row": lambda t: mock._remainder(0.2, np.array([0.1 + 0.5j, t]), 24),
-    "TorusModulus": boson.TorusModulus,
     "theta_lattice_sum": lambda t: boson.theta_lattice_sum(1.0, t),
     "boson_partition_function": lambda t: boson.boson_partition_function(1.0, t),
     "twisted_boson_partition_function": boson.twisted_boson_partition_function,

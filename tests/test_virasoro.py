@@ -23,8 +23,8 @@ from qcft.special import rr_product
 from qcft.virasoro import (CHARACTER_PREFACTOR, MinimalModelLabel, PolyCH, VermaGram,
                            bracket, central_charge, character_25,
                            effective_central_charge, gram_matrix, minimal_c_eff_scan,
-                           null_vector_central_charges, ode_residual, scale_anomaly,
-                           serre_derivative, torus_partition_function_25)
+                           null_vector_central_charges, ode_residual, serre_derivative,
+                           torus_partition_function_25)
 
 C, H = sympy.symbols("c h")
 
@@ -384,12 +384,3 @@ def test_ode_residual_sector_validation():
 
 def test_ode_probe_detects_wrong_coefficient():
     assert not ode_residual("G", 60, rhs_coefficient=F(1, 360)).is_zero()
-
-
-# -- scale anomaly ----------------------------------------------------------------------
-
-def test_scale_anomaly():
-    assert scale_anomaly(F(-22, 5), 0, 2.0) == pytest.approx(2.0 ** (-22 / 30))
-    assert scale_anomaly(26, 1, 3.7) == 1.0
-    with pytest.raises(ValueError):
-        scale_anomaly(1, 0, -1.0)
