@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CutoffTooLarge, NonpositiveRadius
-from .special import (adaptive_cutoff, check_cutoff, check_tau, check_terms, eta_eval, q_product,
-                      theta_table)
+from .special import adaptive_cutoff, check_terms, eta_eval, fold_tau, q_product, theta_table
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class LatticeSpec:
             raise ValueError("side lengths must be positive")
 
 
-def theta_lattice_sum(R: float, tau: complex, cutoff: int | None = None) -> complex:
+def theta_lattice_sum(R: float, tau: complex) -> complex:
     """Momentum/winding double sum: sum over (n, w) of q^{p_L^2/2} qbar^{p_R^2/2},
     as sum_w e^{-pi y R^2 w^2 / 2} theta_3(w x | 2iy / R^2) at tau = x + iy: one
     special.theta_table of integer steps (halves=False) with a z per winding.  Each
@@ -40,29 +39,27 @@ def theta_lattice_sum(R: float, tau: complex, cutoff: int | None = None) -> comp
     import numpy as np
     if not 0 < R < math.inf:
         raise NonpositiveRadius(f"R = {R}")
-    x, y = check_tau(tau).real, tau.imag
+    tau = fold_tau(tau)
+    x, y = tau.real, tau.imag
     axes = (2 * y / R / R, y * R * R / 2)   # Im of the n and w nomes
     if not all(0 < a < math.inf for a in axes):
         raise CutoffTooLarge(f"R = {R} at Im tau = {y}: an axis exceeds MAX_CUTOFF")
-    if cutoff is None:
-        n_max, w_max = (adaptive_cutoff(1j * a, 2) for a in axes)
-    else:
-        n_max = w_max = check_cutoff(cutoff)
+    n_max, w_max = (adaptive_cutoff(1j * a, 2) for a in axes)   # theta_table's n_max too
     check_terms(n_max * w_max // 2)
     w = np.arange(-w_max, w_max + 1)
-    theta3 = theta_table(w * x, np.array([1j * axes[0]]), n_max, halves=False)[1][0][:, 0]
+    theta3 = theta_table(w * x, 1j * axes[0], halves=False)[1][0][:, 0]
     return complex((np.exp(-np.pi * axes[1] * w * w) * theta3).sum())
 
 
-def boson_partition_function(R: float, tau: complex, cutoff: int | None = None) -> float:
+def boson_partition_function(R: float, tau: complex) -> float:
     """Z_R(tau) = Theta_R(tau) / |eta(tau)|^2; real and positive."""
-    theta = theta_lattice_sum(R, tau, cutoff)
+    theta = theta_lattice_sum(R, tau)
     return theta.real / abs(eta_eval(tau)) ** 2
 
 
-def twisted_boson_partition_function(tau: complex, cutoff: int | None = None) -> float:
+def twisted_boson_partition_function(tau: complex) -> float:
     """|prod_n (1 + q^n)^{-1}|^2; structurally independent of the radius."""
-    return 1.0 / abs(complex(q_product(tau, 1, cutoff))) ** 2
+    return 1.0 / abs(complex(q_product(fold_tau(tau), 1))) ** 2
 
 
 # -- determinant ratios ----------------------------------------------------------

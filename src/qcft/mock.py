@@ -8,12 +8,13 @@ after pulling out the overall scale 2.
 
 Every value comes from one numpy kernel that evaluates a whole array of tau
 at fixed z (numpy is imported inside it, so `import qcft` does not load it):
-special.theta_table gives theta_1..theta_4 and mu's numerators, with the
-power-2 cutoff of special.adaptive_cutoff at the smallest Im tau unless a
-JacobiPoint gives its own.  A JacobiPoint builds its one-element table at
-(z, 0) on first use and keeps it: jacobi_theta, elliptic_genus_k3 and the
-diagonal appell_lerch_mu all read it, and only an off-diagonal mu builds a
-table of its own.  mock_remainder is a one-element call into the array kernel.
+special.theta_table gives theta_1..theta_4 and mu's numerators, always with the
+power-2 cutoff of special.adaptive_cutoff at the smallest Im tau.  A JacobiPoint
+builds its one-element table at (z, 0) on first use and keeps it: jacobi_theta,
+elliptic_genus_k3 and the diagonal appell_lerch_mu all read it, and only an
+off-diagonal mu builds a table of its own.  mock_remainder is a one-element call
+into the array kernel.  Every one-point entry folds Re tau into [-12, 12] first
+(special.fold_tau).
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from fractions import Fraction
 from .errors import (RoundingUnstable, ThetaConstantVanishes, ThetaZeroDivision,
                      ZDependenceDetected)
 from .series import rat_str
-from .special import (CUTOFF_MARGIN, adaptive_cutoff, check_cutoff, check_tau, eta_values,
-                      theta_table)
+from .special import CUTOFF_MARGIN, check_tau, eta_values, fold_tau, theta_table
 
 DEFAULT_Z_LIST = (0.17 + 0.04j, 0.36 - 0.03j, 0.45 + 0.07j)
 
@@ -52,26 +52,22 @@ def _one(tau):
 class JacobiPoint:
     z: complex
     tau: complex
-    cutoff: int | None = None   # None: special.adaptive_cutoff; an int is used as given
 
     # _table is filled by table() on first use; ==, hash, repr, copies and pickles ignore it
     def __post_init__(self):
         _check_z(self.z, check_tau(self.tau))
-        if self.cutoff is not None:
-            check_cutoff(self.cutoff)
 
     def __reduce__(self):
-        return JacobiPoint, (self.z, self.tau, self.cutoff)
+        return JacobiPoint, (self.z, self.tau)
 
     def table(self):
-        """(taus, table, thetas): theta_table((z, 0), taus) at taus = [tau] and the point's
-        cutoff (the power-2 rule at tau if None), built on the first call and kept."""
+        """(taus, table, thetas): theta_table((z, 0), tau) at taus = [fold_tau(tau)],
+        built on the first call and kept."""
         try:
             return self._table
         except AttributeError:
-            taus = _one(self.tau)
-            cutoff = adaptive_cutoff(self.tau, 2) if self.cutoff is None else self.cutoff
-            kept = (taus, *theta_table((self.z, 0), taus, cutoff))
+            tau = fold_tau(self.tau)
+            kept = (_one(tau), *theta_table((self.z, 0), tau))
             object.__setattr__(self, "_table", kept)
             return kept
 
@@ -154,9 +150,9 @@ def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
         v = u
         taus, table, thetas = p.table()
     else:
-        v = _check_z(z2, p.tau)
-        taus = _one(p.tau)
-        table, thetas = theta_table((v,), taus, p.cutoff)
+        v, tau = _check_z(z2, p.tau), fold_tau(p.tau)
+        taus = _one(tau)
+        table, thetas = theta_table((v,), tau)
     _theta1_guard(thetas[0][0], v)
     return complex(_mu(u, v, table[0], thetas[0][0], taus)[0])
 
@@ -183,7 +179,8 @@ class MockCoefficients:
 
 def mock_remainder(z: complex, tau: complex, kappa: complex = 24) -> complex:
     """elliptic_genus * eta^3 / theta_1^2 - kappa * mu at one point."""
-    return complex(_remainder(_check_z(z, check_tau(tau)), _one(tau), kappa)[0])
+    tau = fold_tau(tau)
+    return complex(_remainder(_check_z(z, tau), _one(tau), kappa)[0])
 
 
 def extract_mock_coefficients(y0: float = 0.3,

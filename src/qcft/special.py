@@ -2,15 +2,16 @@
 
 Exact constructors return FracQSeries, and every Euler product among them is
 expanded over ints by euler_product.  The numeric side evaluates at
-q = exp(2*pi*i*tau) in numpy (imported lazily) over an array of tau, with one
-of each primitive: check_tau validates tau, adaptive_cutoff is the cutoff rule
-of every truncated q-sum (|q|^(n^p / p) below CUTOFF_TARGET, plus CUTOFF_MARGIN,
-at most MAX_CUTOFF by check_terms), check_cutoff validates an explicit cutoff (an
-int >= 1, at most MAX_CUTOFF), q_product the Euler product, theta_table the theta
-series (with halves=False only its integer steps, theta_3 and theta_4).  Each
-kernel checks tau once: adaptive_cutoff does it on the rule path, check_tau beside
-check_cutoff on the explicit one, before anything is allocated.  evaluate_series
-sums a FracQSeries by Horner over the series' memoized int numerators.
+q = exp(2*pi*i*tau) in numpy (imported lazily) at one tau or over an array of
+them, with one of each primitive: check_tau validates tau, fold_tau moves a
+scalar's Re tau into [-12, 12] (every kernel is periodic in it with a period
+dividing 24), adaptive_cutoff is the only truncation of every q-sum (|q|^(n^p / p)
+below CUTOFF_TARGET, plus CUTOFF_MARGIN, at most MAX_CUTOFF by check_terms),
+q_product the Euler product, theta_table the theta series (with halves=False only
+its integer steps, theta_3 and theta_4).  No kernel takes a cutoff, and each checks
+tau before anything is allocated: in adaptive_cutoff, and first in fold_tau at the
+one-point entries.  evaluate_series sums a FracQSeries by Horner over the series'
+memoized int numerators.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from numbers import Integral
 from typing import Iterable
 
 from .errors import CutoffTooLarge, NotInUpperHalfPlane
@@ -105,6 +105,18 @@ def check_tau(tau):
     return tau
 
 
+def fold_tau(tau: complex) -> complex:
+    """A scalar tau, checked, with Re tau moved into [-12, 12] by math.remainder(Re tau, 24).
+
+    The remainder is exact and leaves |Re tau| <= 12 bit-identical.  Every numeric
+    kernel is periodic in Re tau with a period dividing 24 (eta's q^{1/24} has 24, each
+    theta term exp(pi i m^2 tau) and mu's q^{-1/8} have 8 or less), so the value is the
+    same, and the exps no longer lose the digits of a large Re tau.
+    """
+    tau = check_tau(tau)
+    return complex(math.remainder(tau.real, 24), tau.imag)
+
+
 CUTOFF_TARGET = 1e-15
 CUTOFF_MARGIN = 3
 # about the power-1 cutoff at Im tau = 6.7e-4, so every Im tau >= 1e-3 evaluates
@@ -116,13 +128,6 @@ def check_terms(terms):
     if not terms <= MAX_CUTOFF:
         raise CutoffTooLarge(f"a cutoff of {terms:.6g} terms exceeds MAX_CUTOFF = {MAX_CUTOFF}")
     return terms
-
-
-def check_cutoff(cutoff):
-    """An explicit cutoff= itself if it is an int >= 1 (else ValueError) and passes check_terms."""
-    if not isinstance(cutoff, Integral) or cutoff < 1:
-        raise ValueError(f"cutoff = {cutoff!r}: need an int >= 1")
-    return check_terms(cutoff)
 
 
 def adaptive_cutoff(tau, power: int = 1) -> int:
@@ -137,31 +142,25 @@ def adaptive_cutoff(tau, power: int = 1) -> int:
     return math.floor(check_terms(bound + 1 + CUTOFF_MARGIN))
 
 
-def q_product(tau, sign: int, cutoff: int | None = None, residues=None):
-    """prod_{n=1}^{cutoff} (1 + sign q^n) at each tau of an array (or at one tau);
-    residues = (modulus, kept) keeps only the factors with n % modulus in kept.
-
-    One np.prod over the table q^n = exp(2 pi i n tau); the default cutoff is
-    adaptive_cutoff at the smallest Im tau, so every entry is converged.
-    """
+def q_product(tau, sign: int, residues=None):
+    """prod_{n=1}^{c} (1 + sign q^n) at each tau of an array (or at one tau), with c the
+    adaptive_cutoff at the smallest Im tau, so every entry is converged; residues =
+    (modulus, kept) keeps only the factors with n % modulus in kept.  One np.prod over
+    the table q^n = exp(2 pi i n tau)."""
     import numpy as np
-    if cutoff is None:
-        cutoff = adaptive_cutoff(tau)   # which checks tau
-    else:
-        check_tau(tau)
-        check_cutoff(cutoff)
-    n = np.arange(1, cutoff + 1)
+    n = np.arange(1, adaptive_cutoff(tau) + 1)   # which checks tau
     if residues is not None:
         modulus, kept = residues
         n = n[np.isin(n % modulus, kept)]
     return np.multiply.reduce(1 + sign * np.exp(2j * np.pi * np.multiply.outer(n, tau)))
 
 
-def theta_table(zs, taus, cutoff: int | None = None, halves: bool = True):
-    """The exponent table of the four theta series and its sums, for each z of zs.
+def theta_table(zs, taus, halves: bool = True):
+    """The exponent table of the four theta series and its sums, for each z of zs, at
+    one tau or at each tau of an array (a tau axis of one entry for one tau).
 
     table[k, :, t] = exp(pi i m^2 tau_t + 2 pi i m zs[k]) over m from -c to c + 3/2
-    in steps of 1/2, with c the cutoff (by default of power 2) rounded up to even.
+    in steps of 1/2, with c the power-2 adaptive_cutoff rounded up to even.
     So the entries come in fours: an even integer n, n + 1/2, the odd n + 1, n + 3/2.
     theta_3 and theta_2 sum over integers and half-integers; theta_4 and theta_1 weigh
     them by (-1)^floor(m).  Returns (table, thetas), thetas[i - 1][k] = theta_i(zs[k]).
@@ -170,7 +169,8 @@ def theta_table(zs, taus, cutoff: int | None = None, halves: bool = True):
     odd n + 1), and returns (table, (theta_3, theta_4)), equal to the full table's.
     """
     import numpy as np
-    c = adaptive_cutoff(taus, 2) if cutoff is None else check_cutoff(cutoff)
+    c = adaptive_cutoff(taus, 2)   # which checks tau, at the scalar's cost for one tau
+    taus = np.atleast_1d(taus)
     c += c % 2   # MAX_CUTOFF is even, so this stays within it
     k = 2 if halves else 1   # entries per unit of m
     m = np.arange(-k * c, k * (c + 2)) / k
@@ -188,16 +188,16 @@ def theta_table(zs, taus, cutoff: int | None = None, halves: bool = True):
     return table, (-1j * (even_half - odd_half), even_half + odd_half, even + odd, even - odd)
 
 
-def eta_values(tau, cutoff: int | None = None):
-    """Numeric eta = q^{1/24} prod_{n<=cutoff} (1 - q^n) at each tau of an array."""
+def eta_values(tau):
+    """Numeric eta = q^{1/24} prod_n (1 - q^n) at each tau of an array (or at one tau)."""
     import numpy as np
-    product = q_product(tau, -1, cutoff)   # which checks tau and cutoff
+    product = q_product(tau, -1)   # which checks tau
     return np.exp(2j * np.pi * tau / 24) * product
 
 
-def eta_eval(tau: complex, cutoff: int | None = None) -> complex:
-    """Numeric eta(tau) = q^{1/24} prod_{n<=cutoff} (1 - q^n)."""
-    return complex(eta_values(tau, cutoff))
+def eta_eval(tau: complex) -> complex:
+    """Numeric eta(tau) = q^{1/24} prod_n (1 - q^n), at fold_tau(tau)."""
+    return complex(eta_values(fold_tau(tau)))
 
 
 def evaluate_series(f: FracQSeries, tau: complex) -> complex:

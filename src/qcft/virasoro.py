@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import LevelTooLarge
 from .partitions import PartitionConstraint, count_partitions
 from .series import DEFAULT_ORDER, FracQSeries
-from .special import RR_MODULUS, RR_RESIDUES, eisenstein, q_product, rr_product
+from .special import RR_MODULUS, RR_RESIDUES, eisenstein, fold_tau, q_product, rr_product
 
 # every Gram determinant up to this level is in reach: level 6 (dimension 11) in under 1 s
 MAX_GRAM_LEVEL = 6
@@ -368,13 +368,14 @@ def character_25(sector: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     return FracQSeries(CHARACTER_PREFACTOR[sector], counts.values)
 
 
-def torus_partition_function_25(tau: complex, cutoff: int | None = None) -> float:
+def torus_partition_function_25(tau: complex) -> float:
     """The sum over the sectors of |q^a / prod (1 - q^n)|^2 at q = exp(2*pi*i*tau), with
-    a = CHARACTER_PREFACTOR and n over the sector's product; cutoff as in q_product,
-    which also checks tau before the first exp."""
+    a = CHARACTER_PREFACTOR and n over the sector's product (one q_product each), at
+    fold_tau(tau), which also checks tau before the first exp."""
+    tau = fold_tau(tau)
     total = 0.0
     for sector, which in SECTOR_PRODUCT.items():
-        product = complex(q_product(tau, -1, cutoff, (RR_MODULUS, RR_RESIDUES[which])))
+        product = complex(q_product(tau, -1, (RR_MODULUS, RR_RESIDUES[which])))
         prefactor = cmath.exp(2j * math.pi * tau * float(CHARACTER_PREFACTOR[sector]))
         total += abs(prefactor / product) ** 2
     return total

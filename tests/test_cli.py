@@ -175,8 +175,8 @@ def test_tolerance_flag_leaves_torus_check_at_1e_8(monkeypatch):
     # --tolerance sets the golden comparison; the torus record keeps its own 1e-8
     real = virasoro.torus_partition_function_25
 
-    def skewed(tau, cutoff=None):
-        return real(tau, cutoff) + (1e-4 if tau.imag > 1 else 0.0)
+    def skewed(tau):
+        return real(tau) + (1e-4 if tau.imag > 1 else 0.0)
 
     monkeypatch.setattr(virasoro, "torus_partition_function_25", skewed)
     reports = run_group("minimal-model", RunConfig(float_tolerance=1e-2))
@@ -188,9 +188,9 @@ def test_boson_group_evaluates_each_partition_function_once(monkeypatch):
     # Z_R(tau) at 3 radii and 2 tau, and its duality, T and S images: 24 calls
     real, calls = boson.boson_partition_function, []
 
-    def counted(r, tau, cutoff=None):
+    def counted(r, tau):
         calls.append((r, tau))
-        return real(r, tau, cutoff)
+        return real(r, tau)
 
     monkeypatch.setattr(boson, "boson_partition_function", counted)
     reports = run_group("boson", RunConfig())

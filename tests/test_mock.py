@@ -62,15 +62,6 @@ def test_theta1_derivative_eta_cubed():
     assert abs(deriv - 2 * math.pi * eta_eval(TAU) ** 3) < 1e-7 * abs(deriv)
 
 
-def test_theta_cutoff_doubling():
-    z = 0.29 + 0.08j
-    for i in (1, 2, 3, 4):
-        for cutoff in (12, 13):
-            a = jacobi_theta(i, JacobiPoint(z, TAU, cutoff=cutoff))
-            b = jacobi_theta(i, JacobiPoint(z, TAU, cutoff=48))
-            assert abs(a - b) < 1e-14 * max(abs(a), 1.0)
-
-
 def test_theta_index_validation():
     with pytest.raises(ValueError):
         theta(5, 0.1)
@@ -132,14 +123,6 @@ def test_mu_pole_growth_near_zero():
 def test_mu_rejects_theta_zero():
     with pytest.raises(ThetaZeroDivision):
         mu(0.25, 0.0)   # theta_1(0) = 0
-
-
-def test_mu_cutoff_doubling():
-    u, v = 0.22 + 0.03j, 0.38 - 0.02j
-    for cutoff in (16, 17):
-        a = appell_lerch_mu(JacobiPoint(u, TAU, cutoff=cutoff), z2=v)
-        b = appell_lerch_mu(JacobiPoint(u, TAU, cutoff=64), z2=v)
-        assert abs(a - b) < 1e-13 * abs(a)
 
 
 # -- remainder and extraction ------------------------------------------------------------
@@ -250,7 +233,7 @@ def test_kernel_row_equals_points():
     taus = np.linspace(-0.5, 0.5, 17) + 1j * np.linspace(0.1, 1.0, 17)
     z = 0.31 + 0.05j
     row = mock._remainder(z, taus, 24)
-    table, thetas = special.theta_table((z,), taus, special.adaptive_cutoff(taus, 2))
+    table, thetas = special.theta_table((z,), taus)
     for k, tau in enumerate(taus):
         point = mock_remainder(z, tau)
         assert abs(row[k] - point) <= 1e-13 * abs(point)
@@ -282,12 +265,12 @@ def test_theta_constant_guard():
 
 
 def test_large_imaginary_tau():
-    # at a cutoff of 24, q^n y_u for n = -24 would reach |q|^-24 = e^{2 pi 24 Im tau}:
-    # past the float range from Im tau ~ 4.7, so those terms are divided through by it
-    tau = 0.3 + 7.0j
+    # the rule's cutoff at Im tau = 30 is 4, and q^n y_u for n = -4 would reach
+    # |q|^-4 = e^{2 pi 4 Im tau} = e^754, past the float range, so those terms are
+    # divided through by it
+    tau = 0.3 + 30.0j
+    assert special.adaptive_cutoff(tau, 2) == 4
     with mpmath.workdps(30):
-        got = appell_lerch_mu(JacobiPoint(0.2 + 0.1j, tau, cutoff=24), z2=0.4)
-        assert_relative(got, mp_mu(0.2 + 0.1j, 0.4, tau), 1e-10, tau)
         assert_relative(mu(0.2 + 0.1j, 0.4, tau), mp_mu(0.2 + 0.1j, 0.4, tau), 1e-10, tau)
     vals = [mock_remainder(z, tau) for z in DEFAULT_Z_LIST]
     assert max(abs(a - vals[0]) for a in vals) < 1e-9 * abs(vals[0])
@@ -314,29 +297,27 @@ def test_one_point_builds_one_table(monkeypatch):
     assert builds == [(p.z, 0), (0.41 - 0.03j,)]
 
 
-def one_row_values(z, tau, cutoff):
+def one_row_values(z, tau):
     """theta_1..4, the elliptic genus and mu(z, z), each from its own table, as
     every call built one before points kept theirs."""
     taus = np.array([tau], dtype=complex)
-    thetas = [complex(special.theta_table((z,), taus, cutoff)[1][i - 1][0, 0])
-              for i in (1, 2, 3, 4)]
-    eg = complex(mock._elliptic_genus(special.theta_table((z, 0), taus, cutoff)[1])[0])
-    table, row = special.theta_table((z,), taus, cutoff)
+    thetas = [complex(special.theta_table((z,), taus)[1][i - 1][0, 0]) for i in (1, 2, 3, 4)]
+    eg = complex(mock._elliptic_genus(special.theta_table((z, 0), taus)[1])[0])
+    table, row = special.theta_table((z,), taus)
     mu_zz = complex(mock._mu(z, z, table[0], row[0][0], taus)[0])
     return thetas, eg, mu_zz
 
 
-@pytest.mark.parametrize("cutoff", [None, 7, 13, 24])
-def test_point_table_equals_one_row_tables(cutoff):
+def test_point_table_equals_one_row_tables():
     for tau, z, _ in seeded_points(40, 12):
-        p = JacobiPoint(z, tau, cutoff)
+        p = JacobiPoint(z, tau)
         got = ([jacobi_theta(i, p) for i in (1, 2, 3, 4)], elliptic_genus_k3(p),
                appell_lerch_mu(p))
-        assert got == one_row_values(z, tau, cutoff), (tau, z)
+        assert got == one_row_values(z, tau), (tau, z)
 
 
 def test_point_memo_is_invisible():
-    p, fresh = JacobiPoint(0.31 + 0.05j, TAU, 13), JacobiPoint(0.31 + 0.05j, TAU, 13)
+    p, fresh = JacobiPoint(0.31 + 0.05j, TAU), JacobiPoint(0.31 + 0.05j, TAU)
     value = jacobi_theta(3, p)
     assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
     for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):

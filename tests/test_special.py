@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qcft import boson, mock, special, virasoro
 from qcft.errors import CutoffTooLarge, NotInUpperHalfPlane
 from qcft.series import FracQSeries
-from qcft.special import (CUTOFF_MARGIN, CUTOFF_TARGET, MAX_CUTOFF, adaptive_cutoff,
+from qcft.special import (CUTOFF_MARGIN, CUTOFF_TARGET, adaptive_cutoff,
                           dedekind_eta, eisenstein, euler_product, eta_eval, evaluate_series,
                           rr_product)
 
@@ -192,14 +192,14 @@ def test_evaluate_series_overflows_like_fraction():
 
 
 def test_theta_table_integer_steps_equal_the_full_table():
-    taus = np.linspace(-0.7, 0.9, 11) + 1j * np.geomspace(0.08, 2.0, 11)
     zs = (0.0, 0.31 + 0.05j, -1.7, 0.5j)
-    for cutoff in (None, 7, 12):
-        table, thetas = special.theta_table(zs, taus, cutoff)
-        half, (theta3, theta4) = special.theta_table(zs, taus, cutoff, halves=False)
-        c = half.shape[1] // 2 - 1
-        if cutoff is not None:
-            assert c == cutoff + cutoff % 2   # an odd cutoff is rounded up to even
+    rows = [np.linspace(-0.7, 0.9, 11) + 1j * np.geomspace(y, 2.0, 11) for y in (0.08, 0.1)]
+    assert {adaptive_cutoff(taus, 2) % 2 for taus in rows} == {0, 1}   # 15 and 14
+    for taus in rows:
+        table, thetas = special.theta_table(zs, taus)
+        half, (theta3, theta4) = special.theta_table(zs, taus, halves=False)
+        rule = adaptive_cutoff(taus, 2)
+        assert half.shape[1] // 2 - 1 == rule + rule % 2   # an odd cutoff is rounded up to even
         assert np.array_equal(half, table[:, ::2])
         assert np.array_equal(theta3, thetas[2])
         assert np.array_equal(theta4, thetas[3])
@@ -218,6 +218,40 @@ def test_eta_translation():
     lhs = eta_eval(tau + 1)
     rhs = cmath.exp(1j * cmath.pi / 12) * eta_eval(tau)
     assert abs(lhs - rhs) < 1e-12
+
+
+Z, Z2 = 0.2 + 0.05j, 0.41 - 0.03j
+AT_ONE_POINT = {
+    "eta": eta_eval,
+    **{f"theta_{i}": (lambda t, i=i: mock.jacobi_theta(i, mock.JacobiPoint(Z, t)))
+       for i in (1, 2, 3, 4)},
+    "mu": lambda t: mock.appell_lerch_mu(mock.JacobiPoint(Z, t)),
+    "mu(u, v)": lambda t: mock.appell_lerch_mu(mock.JacobiPoint(Z, t), Z2),
+    "mock_remainder": lambda t: mock.mock_remainder(Z, t),
+    "boson_partition_function": lambda t: boson.boson_partition_function(1.3, t),
+    "twisted_boson_partition_function": boson.twisted_boson_partition_function,
+    "torus_partition_function_25": virasoro.torus_partition_function_25,
+}
+# tau -> tau + 1 multiplies each by e^{2 pi i r / 24} (eta: q^{1/24}; theta_1, theta_2:
+# q^{1/8}; mu and the remainder: 1 / theta_1(v)), swaps theta_3 and theta_4, and leaves
+# the three partition functions alone
+T_PHASE = {"eta": 1, "theta_1": 3, "theta_2": 3, "mu": -3, "mu(u, v)": -3, "mock_remainder": -3}
+T_SWAP = {"theta_3": "theta_4", "theta_4": "theta_3"}
+
+
+@pytest.mark.parametrize("re_tau", [1e6 + 0.3, 123456789.3, 1e17], ids=repr)
+@pytest.mark.parametrize("entry", sorted(AT_ONE_POINT))
+def test_large_real_part_matches_the_t_image(entry, re_tau):
+    # at tau = k + x + iy the value is the T-image of the one at x + iy, whose exps
+    # see no large Re tau; e.g. eta(1e17 + i) = e^{2 pi i 16 / 24} eta(i)
+    k = int(re_tau)
+    x = re_tau - k   # exact
+    image = T_SWAP.get(entry, entry) if k % 2 else entry
+    phase = cmath.exp(2j * math.pi * (T_PHASE.get(entry, 0) * k % 24) / 24)
+    for y in (0.3, 1.0, 2.5):
+        got = AT_ONE_POINT[entry](complex(re_tau, y))
+        want = phase * AT_ONE_POINT[image](complex(x, y))
+        assert abs(got - want) <= 1e-12 * abs(want), y
 
 
 def test_adaptive_cutoff_grows_near_real_axis():
@@ -274,6 +308,7 @@ NUMERIC_ENTRY_POINTS = {
     "check_tau": special.check_tau,
     "adaptive_cutoff": adaptive_cutoff,
     "q_product": lambda t: special.q_product(t, 1),
+    "theta_table": lambda t: special.theta_table((0.2,), t),
     "eta_values": special.eta_values,
     "eta_eval": eta_eval,
     "evaluate_series": lambda t: evaluate_series(dedekind_eta(8), t),
@@ -283,7 +318,7 @@ NUMERIC_ENTRY_POINTS = {
     "theta_lattice_sum": lambda t: boson.theta_lattice_sum(1.0, t),
     "boson_partition_function": lambda t: boson.boson_partition_function(1.0, t),
     "twisted_boson_partition_function": boson.twisted_boson_partition_function,
-    "torus_partition_function_25": lambda t: virasoro.torus_partition_function_25(t, 24),
+    "torus_partition_function_25": virasoro.torus_partition_function_25,
 }
 
 
@@ -316,13 +351,9 @@ EXTREME_INPUTS = {
     "boson_partition_function R = 1e-9": lambda: boson.boson_partition_function(1e-9, 1j),
     "theta_lattice_sum R = 1e9": lambda: boson.theta_lattice_sum(1e9, 1j),
     "theta_lattice_sum R = 1e-200": lambda: boson.theta_lattice_sum(1e-200, 1j),
-    "theta_lattice_sum R = 1e200 cutoff": lambda: boson.theta_lattice_sum(1e200, 1j, 10),
-    "q_product cutoff": lambda: special.q_product(1j, 1, MAX_CUTOFF + 1),
-    "eta_eval cutoff": lambda: eta_eval(1j, 10 ** 12),
-    "JacobiPoint cutoff": lambda: mock.JacobiPoint(0.2, 1j, MAX_CUTOFF + 1),
-    "theta_lattice_sum cutoff": lambda: boson.theta_lattice_sum(1.0, 1j, 10 ** 12),
-    # each axis within MAX_CUTOFF, the (n, w) table not
-    "theta_lattice_sum total": lambda: boson.theta_lattice_sum(1.0, 1j, 200),
+    "theta_lattice_sum R = 1e200": lambda: boson.theta_lattice_sum(1e200, 1j),
+    # each axis within MAX_CUTOFF (108 and 213 terms), the (n, w) table not (11,502)
+    "theta_lattice_sum total": lambda: boson.theta_lattice_sum(1.0, 5e-4j),
 }
 
 
@@ -330,21 +361,3 @@ EXTREME_INPUTS = {
 def test_extreme_inputs_raise_cutoff_too_large(entry):
     with pytest.raises(CutoffTooLarge):
         EXTREME_INPUTS[entry]()
-
-
-EXPLICIT_CUTOFF_ENTRY_POINTS = {
-    "q_product": lambda c: special.q_product(0.5j, 1, c),
-    "eta_values": lambda c: special.eta_values(np.array([0.1 + 0.5j, 0.5j]), c),
-    "eta_eval": lambda c: eta_eval(0.1 + 0.5j, c),
-    "theta_table": lambda c: special.theta_table((0.2,), np.array([0.5j]), c),
-    "JacobiPoint": lambda c: mock.JacobiPoint(0.3, 0.5j, c),
-    "theta_lattice_sum": lambda c: boson.theta_lattice_sum(1.0, 0.5j, c),
-    "torus_partition_function_25": lambda c: virasoro.torus_partition_function_25(0.5j, c),
-}
-
-
-@pytest.mark.parametrize("cutoff", [0, -3, 2.5], ids=repr)
-@pytest.mark.parametrize("entry", sorted(EXPLICIT_CUTOFF_ENTRY_POINTS))
-def test_explicit_cutoff_must_be_a_positive_int(entry, cutoff):
-    with pytest.raises(ValueError, match="int >= 1"):
-        EXPLICIT_CUTOFF_ENTRY_POINTS[entry](cutoff)
