@@ -9,17 +9,23 @@ after pulling out the overall scale 2.
 Every value comes from one numpy kernel that evaluates a whole array of tau
 at fixed z (numpy is imported inside it, so `import qcft` does not load it):
 special.theta_table gives theta_1..theta_4 and mu's numerators, always with the
-power-2 cutoff of special.adaptive_cutoff at the smallest Im tau.  A JacobiPoint
-builds its one-element table at (z, 0) on first use and keeps it: jacobi_theta,
-elliptic_genus_k3 and the diagonal appell_lerch_mu all read it, and only an
-off-diagonal mu builds a table of its own.  mock_remainder is a one-element call
-into the array kernel.  Every one-point entry folds Re tau into [-12, 12] first
-(special.fold_tau).
+power-2 cutoff of special.adaptive_cutoff at the smallest Im tau.  A _Table holds
+one theta_table((z, 0), taus), its thetas, and on first use the elliptic genus and
+mu(z, z); its remainder() is the one remainder formula, for the extraction's rows
+and for one point alike.  Every one-point entry folds Re tau into [-12, 12]
+(special.fold_tau) and reads the one-element _Table of (z, folded tau) from a cache
+of the last POINT_CACHE_SIZE points, so jacobi_theta, elliptic_genus_k3, the
+diagonal appell_lerch_mu and mock_remainder of one point share one table, one
+elliptic genus and one mu; only an off-diagonal mu builds a table of its own.  The
+cached arrays are read-only.  An entry's table is about 1 MB at MAX_CUTOFF, so the
+cache keeps at most about POINT_CACHE_SIZE MB.  mock_remainder computes its own
+one-element eta^3: eta_eval's scalar path may differ from it in the last bit.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,28 +54,18 @@ def _one(tau):
     return np.array([tau], dtype=complex)
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class JacobiPoint:
     z: complex
     tau: complex
 
-    # _table is filled by table() on first use; ==, hash, repr, copies and pickles ignore it
     def __post_init__(self):
         _check_z(self.z, check_tau(self.tau))
-
-    def __reduce__(self):
-        return JacobiPoint, (self.z, self.tau)
-
-    def table(self):
-        """(taus, table, thetas): theta_table((z, 0), tau) at taus = [fold_tau(tau)],
-        built on the first call and kept."""
-        try:
-            return self._table
-        except AttributeError:
-            tau = fold_tau(self.tau)
-            kept = (_one(tau), *theta_table((self.z, 0), tau))
-            object.__setattr__(self, "_table", kept)
-            return kept
 
 
 def _theta1_guard(theta1, z) -> None:
@@ -116,25 +112,61 @@ def _mu(u: complex, v: complex, table_v, theta1_v, taus):
             / theta1_v * total)
 
 
+class _Table:
+    """theta_table((z, 0), taus) at an array of tau, its thetas, and on first use the
+    elliptic genus and mu(z, z) (either can raise, so neither is made before it is read)."""
+
+    def __init__(self, z: complex, taus):
+        self.z, self.taus = z, taus
+        table, thetas = theta_table((z, 0), taus)
+        self.table, self.thetas = _read_only(table), tuple(map(_read_only, thetas))
+
+    @functools.cached_property
+    def eg(self):
+        return _read_only(_elliptic_genus(self.thetas))
+
+    @functools.cached_property
+    def mu(self):
+        """mu(z, z), read after _theta1_guard."""
+        return _read_only(_mu(self.z, self.z, self.table[0], self.thetas[0][0], self.taus))
+
+    def remainder(self, kappa: complex, z: complex):
+        """elliptic_genus * eta^3 / theta_1^2 - kappa * mu(z, z) at each tau.  The caller's
+        z names the point in an error: a kept table's z may be 0.0 where the caller's is -0.0."""
+        theta1 = self.thetas[0][0]
+        _theta1_guard(theta1, z)
+        return self.eg * eta_values(self.taus) ** 3 / theta1 ** 2 - kappa * self.mu
+
+
 def _remainder(z: complex, taus, kappa: complex):
-    """elliptic_genus * eta^3 / theta_1^2 - kappa * mu(z, z) at each tau of an array."""
-    table, thetas = theta_table((_check_z(z), 0), taus)
-    theta1 = thetas[0][0]
-    _theta1_guard(theta1, z)
-    eg = _elliptic_genus(thetas)
-    return eg * eta_values(taus) ** 3 / theta1 ** 2 - kappa * _mu(z, z, table[0], theta1, taus)
+    """The remainder at each tau of an array: the extraction's rows."""
+    return _Table(_check_z(z), taus).remainder(kappa, z)
+
+
+# one call reads one or two points; an entry holds up to about 1 MB
+POINT_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=POINT_CACHE_SIZE)
+def _point(z: complex, tau: complex) -> _Table:
+    """The _Table of a checked z at one folded tau."""
+    return _Table(z, _read_only(_one(tau)))
+
+
+def _point_of(p: JacobiPoint) -> _Table:
+    return _point(p.z, fold_tau(p.tau))
 
 
 def jacobi_theta(i: int, p: JacobiPoint) -> complex:
     """theta_i(z, tau) by direct series summation, nome q = exp(2*pi*i*tau)."""
     if i not in (1, 2, 3, 4):
         raise ValueError("theta index must be 1..4")
-    return complex(p.table()[2][i - 1][0, 0])
+    return complex(_point_of(p).thetas[i - 1][0, 0])
 
 
 def elliptic_genus_k3(p: JacobiPoint) -> complex:
     """8 * sum_{i=2,3,4} (theta_i(z,tau) / theta_i(0,tau))^2 (holomorphic form)."""
-    return complex(_elliptic_genus(p.table()[2])[0])
+    return complex(_point_of(p).eg[0])
 
 
 def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
@@ -147,14 +179,13 @@ def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
     """
     u = p.z
     if z2 is None or z2 == u:
-        v = u
-        taus, table, thetas = p.table()
-    else:
-        v, tau = _check_z(z2, p.tau), fold_tau(p.tau)
-        taus = _one(tau)
-        table, thetas = theta_table((v,), tau)
+        point = _point_of(p)
+        _theta1_guard(point.thetas[0][0], u)
+        return complex(point.mu[0])
+    v, tau = _check_z(z2, p.tau), fold_tau(p.tau)
+    table, thetas = theta_table((v,), tau)
     _theta1_guard(thetas[0][0], v)
-    return complex(_mu(u, v, table[0], thetas[0][0], taus)[0])
+    return complex(_mu(u, v, table[0], thetas[0][0], _one(tau))[0])
 
 
 @dataclass(frozen=True)
@@ -180,7 +211,7 @@ class MockCoefficients:
 def mock_remainder(z: complex, tau: complex, kappa: complex = 24) -> complex:
     """elliptic_genus * eta^3 / theta_1^2 - kappa * mu at one point."""
     tau = fold_tau(tau)
-    return complex(_remainder(_check_z(z, tau), _one(tau), kappa)[0])
+    return complex(_point(_check_z(z, tau), tau).remainder(kappa, z)[0])
 
 
 def extract_mock_coefficients(y0: float = 0.3,

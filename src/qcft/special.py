@@ -4,19 +4,22 @@ Exact constructors return FracQSeries, and every Euler product among them is
 expanded over ints by euler_product.  The numeric side evaluates at
 q = exp(2*pi*i*tau) in numpy (imported lazily) at one tau or over an array of
 them, with one of each primitive: check_tau validates tau, fold_tau moves a
-scalar's Re tau into [-12, 12] (every kernel is periodic in it with a period
-dividing 24), adaptive_cutoff is the only truncation of every q-sum (|q|^(n^p / p)
+scalar's Re tau into [-period/2, period/2] (every kernel is periodic in it with a
+period dividing 24, the default; evaluate_series passes lcm(24, den(a)) for its
+q^a), adaptive_cutoff is the only truncation of every q-sum (|q|^(n^p / p)
 below CUTOFF_TARGET, plus CUTOFF_MARGIN, at most MAX_CUTOFF by check_terms),
 q_product the Euler product, theta_table the theta series (with halves=False only
 its integer steps, theta_3 and theta_4).  No kernel takes a cutoff, and each checks
 tau before anything is allocated: in adaptive_cutoff, and first in fold_tau at the
-one-point entries.  evaluate_series sums a FracQSeries by Horner over the series'
-memoized int numerators.
+one-point entries.  eta_eval keeps the last ETA_CACHE_SIZE values by folded tau
+(the scalar path's value; an eta_values array may differ from it in the last bit).
+evaluate_series sums a FracQSeries by Horner over the series' memoized int numerators.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -105,16 +108,18 @@ def check_tau(tau):
     return tau
 
 
-def fold_tau(tau: complex) -> complex:
-    """A scalar tau, checked, with Re tau moved into [-12, 12] by math.remainder(Re tau, 24).
+def fold_tau(tau: complex, period: int = 24) -> complex:
+    """A scalar tau, checked, with Re tau moved into [-period/2, period/2] by
+    math.remainder(Re tau, period).
 
-    The remainder is exact and leaves |Re tau| <= 12 bit-identical.  Every numeric
+    The remainder is exact and leaves |Re tau| <= period/2 bit-identical.  Every numeric
     kernel is periodic in Re tau with a period dividing 24 (eta's q^{1/24} has 24, each
     theta term exp(pi i m^2 tau) and mu's q^{-1/8} have 8 or less), so the value is the
-    same, and the exps no longer lose the digits of a large Re tau.
+    same, and the exps no longer lose the digits of a large Re tau.  A series with a
+    prefactor q^a needs a multiple of den(a) as its period.
     """
     tau = check_tau(tau)
-    return complex(math.remainder(tau.real, 24), tau.imag)
+    return complex(math.remainder(tau.real, period), tau.imag)
 
 
 CUTOFF_TARGET = 1e-15
@@ -195,9 +200,19 @@ def eta_values(tau):
     return np.exp(2j * np.pi * tau / 24) * product
 
 
+# one call reads one or two tau; each entry is a complex
+ETA_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=ETA_CACHE_SIZE)
+def _eta_at(tau: complex) -> complex:
+    return complex(eta_values(tau))
+
+
 def eta_eval(tau: complex) -> complex:
-    """Numeric eta(tau) = q^{1/24} prod_n (1 - q^n), at fold_tau(tau)."""
-    return complex(eta_values(fold_tau(tau)))
+    """Numeric eta(tau) = q^{1/24} prod_n (1 - q^n), at fold_tau(tau), kept for the
+    last ETA_CACHE_SIZE folded tau."""
+    return _eta_at(fold_tau(tau))
 
 
 def evaluate_series(f: FracQSeries, tau: complex) -> complex:
@@ -206,9 +221,11 @@ def evaluate_series(f: FracQSeries, tau: complex) -> complex:
     Horner over f.numerators(): n / d is int true division, correctly rounded like
     complex(Fraction(n, d)), so each coefficient is the float of the exact rational.
     The prefactor q^a is evaluated as exp(2*pi*i*tau*a), which is the branch
-    every formula in scope intends.
+    every formula in scope intends.  Re tau is folded by lcm(24, den(a)), the period of
+    q^a times the integer powers, so |Re tau| <= 12 is summed as given.
     """
-    q = cmath.exp(2j * math.pi * check_tau(tau))
+    tau = fold_tau(tau, math.lcm(24, f.prefactor.denominator))
+    q = cmath.exp(2j * math.pi * tau)
     numerators, d = f.numerators()
     acc = 0j
     for n in reversed(numerators):

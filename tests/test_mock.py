@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qcft import mock, special
+from qcft import boson, mock, special
 from qcft.errors import (NotInUpperHalfPlane, RoundingUnstable, ThetaConstantVanishes,
                          ThetaZeroDivision, ZDependenceDetected)
 from qcft.mock import (DEFAULT_Z_LIST, JacobiPoint, appell_lerch_mu, elliptic_genus_k3,
@@ -22,6 +22,13 @@ from qcft.mock import (DEFAULT_Z_LIST, JacobiPoint, appell_lerch_mu, elliptic_ge
 from qcft.special import eta_eval
 
 TAU = 0.13 + 0.78j
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Each test starts with no point or eta kept, so no test reads another's builds."""
+    mock._point.cache_clear()
+    special._eta_at.cache_clear()
 
 
 def theta(i, z, tau=TAU):
@@ -292,27 +299,104 @@ def test_one_point_builds_one_table(monkeypatch):
     elliptic_genus_k3(p)
     appell_lerch_mu(p)
     appell_lerch_mu(p, z2=p.z)
+    mock_remainder(p.z, p.tau)
+    mock_remainder(p.z, p.tau, kappa=23)
     assert len(builds) == 1
     appell_lerch_mu(p, z2=0.41 - 0.03j)   # off the diagonal: a one-row table of its own
     assert builds == [(p.z, 0), (0.41 - 0.03j,)]
 
 
+def test_cached_arrays_are_read_only():
+    p = JacobiPoint(0.27 + 0.06j, TAU)
+    before = mock_remainder(p.z, p.tau)
+    point = mock._point_of(p)
+    for a in (point.taus, point.table, *point.thetas, point.eg, point.mu):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    assert mock_remainder(p.z, p.tau) == before
+
+
+def counting_builds(monkeypatch):
+    """Counts of special.theta_table and special.q_product calls, wherever a module
+    bound them."""
+    builds = dict.fromkeys(("theta_table", "q_product"), 0)
+    for name in builds:
+        original = getattr(special, name)
+
+        def counted(*args, original=original, name=name, **kwargs):
+            builds[name] += 1
+            return original(*args, **kwargs)
+
+        for module in (special, mock, boson):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return builds
+
+
+def one_point_sequence(z, tau, radius=1.3):
+    """The benchmark's one-point kernels in its order, as reprs (an error by its type and
+    message)."""
+    p = JacobiPoint(z, tau)
+    calls = [lambda: boson.boson_partition_function(radius, tau),
+             lambda: boson.twisted_boson_partition_function(tau), lambda: eta_eval(tau),
+             *(lambda i=i: jacobi_theta(i, p) for i in (1, 2, 3, 4)),
+             lambda: elliptic_genus_k3(p), lambda: appell_lerch_mu(p),
+             lambda: mock_remainder(z, tau)]
+    out = []
+    for call in calls:
+        try:
+            out.append(repr(call()))
+        except ThetaZeroDivision as e:
+            out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
+def test_one_point_sequence_builds_two_tables_and_three_products(monkeypatch):
+    # the lattice sum's table and the point's; eta's, the twisted trace's and the
+    # remainder's own one-element eta^3
+    builds = counting_builds(monkeypatch)
+    first = (0.31 + 0.05j, -0.42 + 0.37j)
+    values = one_point_sequence(*first)
+    assert builds == {"theta_table": 2, "q_product": 3}
+    for tau, z, _ in seeded_points(max(mock.POINT_CACHE_SIZE, special.ETA_CACHE_SIZE) + 1, 16):
+        one_point_sequence(z, tau)
+    builds.update(theta_table=0, q_product=0)
+    assert one_point_sequence(*first) == values   # evicted, rebuilt, the same values
+    assert builds == {"theta_table": 2, "q_product": 3}
+
+
+def test_signed_zeros_read_their_own_values():
+    # z = +-0 and Re tau = +-0 are equal keys; each must give what it gives alone
+    variants = [(z, complex(x, 0.5)) for z in (0.0, -0.0, 0j, complex(-0.0, -0.0))
+                for x in (0.0, -0.0)]
+    alone = []
+    for z, tau in variants:
+        mock._point.cache_clear()
+        special._eta_at.cache_clear()
+        alone.append(one_point_sequence(z, tau))
+    assert [one_point_sequence(z, tau) for z, tau in variants] == alone
+    assert alone[1][7:] == ["(24+0j)"] + 2 * ["ThetaZeroDivision: theta_1(0.0, tau) ~ 0"]
+    assert alone[2][8:] == 2 * ["ThetaZeroDivision: theta_1(-0.0, tau) ~ 0"]
+
+
 def one_row_values(z, tau):
-    """theta_1..4, the elliptic genus and mu(z, z), each from its own table, as
-    every call built one before points kept theirs."""
+    """theta_1..4, the elliptic genus, mu(z, z) and the remainder, each from its own
+    table, as every call built one before points kept theirs."""
     taus = np.array([tau], dtype=complex)
     thetas = [complex(special.theta_table((z,), taus)[1][i - 1][0, 0]) for i in (1, 2, 3, 4)]
     eg = complex(mock._elliptic_genus(special.theta_table((z, 0), taus)[1])[0])
     table, row = special.theta_table((z,), taus)
     mu_zz = complex(mock._mu(z, z, table[0], row[0][0], taus)[0])
-    return thetas, eg, mu_zz
+    return thetas, eg, mu_zz, complex(mock._remainder(z, taus, 24)[0])
 
 
 def test_point_table_equals_one_row_tables():
+    # the remainder keeps its one-element eta^3: eta_eval's scalar value can differ
+    # from it in the last bit
     for tau, z, _ in seeded_points(40, 12):
         p = JacobiPoint(z, tau)
         got = ([jacobi_theta(i, p) for i in (1, 2, 3, 4)], elliptic_genus_k3(p),
-               appell_lerch_mu(p))
+               appell_lerch_mu(p), mock_remainder(z, tau))
         assert got == one_row_values(z, tau), (tau, z)
 
 
@@ -322,7 +406,6 @@ def test_point_memo_is_invisible():
     assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
     for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert other == p and hash(other) == hash(p) and repr(other) == repr(p)
-        assert "_table" not in vars(other)   # rebuilt on first use, not carried over
         assert jacobi_theta(3, other) == value
     with pytest.raises(AttributeError):
         p.z = 0.2

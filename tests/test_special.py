@@ -22,6 +22,13 @@ from qcft.special import (CUTOFF_MARGIN, CUTOFF_TARGET, adaptive_cutoff,
 ORDER = 40
 
 
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Each test starts with no eta or point kept, so no test reads another's builds."""
+    special._eta_at.cache_clear()
+    mock._point.cache_clear()
+
+
 def convolve(a, b, n):
     out = [0] * n
     for i, x in enumerate(a[:n]):
@@ -252,6 +259,46 @@ def test_large_real_part_matches_the_t_image(entry, re_tau):
         got = AT_ONE_POINT[entry](complex(re_tau, y))
         want = phase * AT_ONE_POINT[image](complex(x, y))
         assert abs(got - want) <= 1e-12 * abs(want), y
+
+
+@pytest.mark.parametrize("re_tau", [1e6 + 0.3, 123456789.3, 1e17], ids=repr)
+@pytest.mark.parametrize("sector", ["Vm15", "V0"])
+def test_series_at_large_real_part_matches_the_t_image(sector, re_tau):
+    # the integer powers have period 1 and q^a picks up e^{2 pi i a k} at tau + k
+    f = virasoro.character_25(sector)
+    k = int(re_tau)
+    x = re_tau - k   # exact
+    phase = cmath.exp(2j * math.pi * float(f.prefactor * k % 1))
+    for y in (0.3, 1.0, 2.5):
+        got = evaluate_series(f, complex(re_tau, y))
+        want = phase * evaluate_series(f, complex(x, y))
+        assert abs(got - want) <= 1e-12 * abs(want), y
+
+
+def test_fold_tau_period():
+    # exact: 1e17 = 120 * 833333333333333 + 40, and |Re tau| <= period / 2 is kept as is
+    assert special.fold_tau(1e17 + 1j, 120) == 40 + 1j
+    assert special.fold_tau(36.5 + 1j) == -11.5 + 1j
+    for x in (-60.0, -12.0, -0.0, 0.7, 12.0, 59.9):
+        folded = special.fold_tau(complex(x, 0.5), 120)
+        assert folded == complex(x, 0.5) and math.copysign(1, folded.real) == math.copysign(1, x)
+
+
+def test_eta_eval_keeps_each_folded_tau(monkeypatch):
+    products, q_product = [], special.q_product
+
+    def counted(*args, **kwargs):
+        products.append(args[0])
+        return q_product(*args, **kwargs)
+
+    monkeypatch.setattr(special, "q_product", counted)
+    tau = 0.25 + 0.4j   # tau + 24 folds back to it exactly
+    value = eta_eval(tau)
+    assert eta_eval(tau + 24) == value == eta_eval(tau) and products == [tau]
+    for k in range(special.ETA_CACHE_SIZE):
+        eta_eval(complex(0.01 * k, 0.5))
+    assert eta_eval(tau) == value   # evicted, rebuilt, the same
+    assert len(products) == special.ETA_CACHE_SIZE + 2 and products[-1] == tau
 
 
 def test_adaptive_cutoff_grows_near_real_axis():
