@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import checks
 from .config import load_config
-from .errors import ConfigParse, GoldenMismatch, QcftError
+from .errors import ConfigParse, GoldenMismatch, OrderTooLarge, QcftError
 from .reports import compare_golden, reports_to_bytes, write_golden
 
 SUBCOMMANDS = list(checks.GROUPS) + ["all"]
@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, order=args.order, tolerance=args.tolerance,
                           exact_only=args.exact_only, output=args.output)
-    except (ConfigParse, ValueError, OSError) as e:
+    except (ConfigParse, OrderTooLarge, ValueError, OSError) as e:
         print(f"qcft: configuration error: {e}", file=sys.stderr)
         return 2
 

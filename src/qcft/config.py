@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigParse
-from .series import DEFAULT_ORDER
+from .series import DEFAULT_ORDER, check_order
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,7 @@ class RunConfig:
     def __post_init__(self):
         if self.order < 8:
             raise ValueError(f"order {self.order} < 8")
+        check_order(self.order)
         if not (0 < self.float_tolerance <= 1e-2):
             raise ValueError(f"tolerance {self.float_tolerance} outside (0, 1e-2]")
 

@@ -15,6 +15,10 @@ class ZeroLeadingCoefficient(QcftError):
     """Inversion of a series whose leading coefficient vanishes."""
 
 
+class OrderTooLarge(QcftError):
+    """A truncation order (or partition range) above series.MAX_ORDER coefficients."""
+
+
 # -- partitions --------------------------------------------------------------
 
 class ConflictingConstraint(QcftError):

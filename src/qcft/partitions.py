@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConflictingConstraint
 from .reports import CheckReport
+from .series import check_order
 
 ENUMERATION_LIMIT = 60
 #: Largest n_max gordon_check accepts: one call with k = 4 at this bound takes
@@ -193,6 +194,7 @@ def count_partitions(n_max: int, c: PartitionConstraint) -> CountTable:
     only in checks.check_rr, as the rr.partition_oracle records."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    check_order(n_max + 1)
     return CountTable(_dp_counts(n_max, c))
 
 
@@ -200,7 +202,7 @@ def count_partitions(n_max: int, c: PartitionConstraint) -> CountTable:
 
 def unrestricted_p(n_max: int) -> CountTable:
     """p(n) by Euler's pentagonal number recurrence."""
-    p = [0] * (n_max + 1)
+    p = [0] * check_order(n_max + 1)
     p[0] = 1
     for n in range(1, n_max + 1):
         total = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidProgression
-from .series import DEFAULT_ORDER, FracQSeries
+from .series import DEFAULT_ORDER, FracQSeries, check_order
 from .special import euler_product
 
 
@@ -72,7 +72,8 @@ def casimir_exponent(s: ArithmeticProgressionSet) -> Fraction:
 
 
 def _product_series(s: ArithmeticProgressionSet, order: int, sign: int) -> FracQSeries:
-    return FracQSeries(casimir_exponent(s), euler_product(s.members(order), sign, True, order))
+    exponents = s.members(check_order(order))
+    return FracQSeries(casimir_exponent(s), euler_product(exponents, sign, True, order))
 
 
 def oscillator_partition_series(s: ArithmeticProgressionSet,

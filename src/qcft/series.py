@@ -3,31 +3,55 @@
 A series is q^a * (c_0 + c_1 q + ... + c_{N-1} q^{N-1}) with a rational and
 all c_n rational.  The prefactor exponent a carries objects like eta =
 q^{1/24} * prod (1 - q^n) exactly; the integer-indexed part keeps the Cauchy
-product simple.  Each series clears its denominators once, on first use, and
-keeps the int numerators (numerators()); products and inverses run over them.
-No floating point enters anywhere in this module.
+product simple.  Every ring operation computes on the int pair (a, d) with
+c_n = a_n / d (numerators(): cleared once per series, on first use) and returns
+through one constructor, _from_ints, which reduces the result's pair once and
+builds its Fraction coefficients from it in one pass; the pair it keeps is the
+one numerators() would compute.  No floating point enters anywhere in this
+module: rat rejects a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
-from .errors import NonAlignablePrefactor, ZeroLeadingCoefficient
+from .errors import NonAlignablePrefactor, OrderTooLarge, ZeroLeadingCoefficient
 
 #: Default truncation order: coefficients through q^(a+200).
 DEFAULT_ORDER = 201
 
+#: Largest order an order-taking entry point accepts.  The exact layer costs about
+#: order^2: at 4096, `qcft all --order 4096` takes about 10 s and ode_residual alone
+#: 2.6 s (CPython 3.11, 2-core x86-64 VM), against 1.4 s and 0.3 s at 1601.
+MAX_ORDER = 4096
+
 RationalLike = Union[Fraction, int, str]
+
+#: Fraction(x) for every int x in [-SMALL, SMALL]: the views _from_ints builds share
+#: them (a Fraction is immutable), which saves a Fraction(x) call per small coefficient.
+SMALL = 256
+_SMALL_FRACTIONS = tuple(Fraction(x) for x in range(-SMALL, SMALL + 1))
 
 
 def rat(x: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
+    """Coerce ints, 'p/q' strings and Fractions to Fraction; a float is a TypeError,
+    since its binary value (0.1 is 3602879701896397/2^55) is seldom the rational meant."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; pass an int, a Fraction or a 'p/q' string")
     return Fraction(x)
+
+
+def check_order(order: int) -> int:
+    """order itself if it is at most MAX_ORDER, else OrderTooLarge; every order-taking
+    entry point calls it before it allocates anything of that size."""
+    if not order <= MAX_ORDER:
+        raise OrderTooLarge(f"order {order} exceeds MAX_ORDER = {MAX_ORDER}")
+    return order
 
 
 def rat_str(x: Fraction) -> str:
@@ -38,7 +62,8 @@ def rat_str(x: Fraction) -> str:
 class FracQSeries:
     """Immutable truncated power series q^prefactor * sum coeffs[n] q^n."""
 
-    # _numerators is filled by numerators() on first use; == and hash ignore it
+    # _numerators: the reduced int pair, kept by _from_ints or filled by numerators()
+    # on first use; == and hash ignore it
     __slots__ = ("prefactor", "coeffs", "order", "_numerators")
 
     def __init__(self, prefactor: RationalLike, coeffs: Iterable[RationalLike]):
@@ -58,12 +83,12 @@ class FracQSeries:
 
     @classmethod
     def one(cls, order: int = DEFAULT_ORDER) -> "FracQSeries":
-        return cls(0, [1] + [0] * (order - 1))
+        return cls(0, [1] + [0] * (check_order(order) - 1))
 
     @classmethod
     def monomial(cls, exponent: RationalLike, order: int = DEFAULT_ORDER) -> "FracQSeries":
         """q^exponent as a series."""
-        return cls(exponent, [1] + [0] * (order - 1))
+        return cls(exponent, [1] + [0] * (check_order(order) - 1))
 
     @classmethod
     def from_coeff_list(cls, coeffs: Sequence[RationalLike], order: int | None = None,
@@ -71,7 +96,7 @@ class FracQSeries:
         """Pad or truncate an explicit coefficient list to the given order."""
         cs = [rat(c) for c in coeffs]
         if order is not None:
-            cs = (cs + [Fraction(0)] * order)[:order]
+            cs = (cs + [Fraction(0)] * check_order(order))[:order]
         return cls(prefactor, cs)
 
     # -- basics ----------------------------------------------------------------
@@ -89,9 +114,31 @@ class FracQSeries:
         tail = ", ..." if self.order > 6 else ""
         return f"FracQSeries(q^{self.prefactor} * [{head}{tail}], order={self.order})"
 
+    @classmethod
+    def _from_ints(cls, prefactor: Fraction, nums: list[int], d: int) -> "FracQSeries":
+        """q^prefactor * sum nums[n]/d q^n for ints nums and d != 0: the pair is reduced
+        once (d > 0, gcd(d, *nums) = 1), kept as the numerators() memo, and the
+        Fraction coefficients are built from it in one pass: Fraction(x) (shared for
+        |x| <= SMALL) when d == 1, else Fraction(x, d)."""
+        g = gcd(d, *nums)
+        if d < 0:
+            g = -g
+        if g != 1:
+            nums = [x // g for x in nums]
+            d //= g
+        self = object.__new__(cls)
+        object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "coeffs", tuple(
+            [_SMALL_FRACTIONS[x + SMALL] if -SMALL <= x <= SMALL else Fraction(x) for x in nums]
+            if d == 1 else [Fraction(x, d) for x in nums]))
+        object.__setattr__(self, "order", len(nums))
+        object.__setattr__(self, "_numerators", (tuple(nums), d))
+        return self
+
     def numerators(self) -> tuple[tuple[int, ...], int]:
         """(a, d) over ints with coeffs[n] = a[n] / d and d the lcm of the denominators:
-        computed on the first call, the same pair afterwards."""
+        kept by every operation's result, else computed on the first call; the same
+        pair afterwards."""
         try:
             return self._numerators
         except AttributeError:
@@ -101,41 +148,42 @@ class FracQSeries:
             return pair
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.numerators()[0])
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other: "FracQSeries") -> "FracQSeries":
+    def _combine(self, other: "FracQSeries", sign: int) -> "FracQSeries":
+        """self + sign * other over the common denominator lcm(da, db)."""
         if not isinstance(other, FracQSeries):
             return NotImplemented
         shift = self.prefactor - other.prefactor
         if shift.denominator != 1:
             raise NonAlignablePrefactor(
                 f"prefactors {self.prefactor} and {other.prefactor} differ by a non-integer")
-        s = int(shift)
+        s = shift.numerator
         if abs(s) >= min(self.order, other.order):
             raise NonAlignablePrefactor(
                 f"prefactor offset {s} exceeds the shared order "
                 f"min({self.order}, {other.order})")
-        lo = min(self.prefactor, other.prefactor)
-        hi = min(self.prefactor + self.order, other.prefactor + other.order)
-        n = int(hi - lo)
-        coeffs = [Fraction(0)] * n
-        off_f = int(self.prefactor - lo)
-        off_g = int(other.prefactor - lo)
-        for i, c in enumerate(self.coeffs):
-            if off_f + i < n:
-                coeffs[off_f + i] += c
-        for i, c in enumerate(other.coeffs):
-            if off_g + i < n:
-                coeffs[off_g + i] += c
-        return FracQSeries(lo, coeffs)
+        # the sum starts at the lower prefactor; the other series starts |s| terms in
+        off_f, off_g = max(s, 0), max(-s, 0)
+        n = min(off_f + self.order, off_g + other.order)
+        a, da = self.numerators()
+        b, db = other.numerators()
+        d = lcm(da, db)
+        nums = map(add, _aligned(a, d // da, off_f, n), _aligned(b, sign * (d // db), off_g, n))
+        return FracQSeries._from_ints(other.prefactor if s > 0 else self.prefactor,
+                                      list(nums), d)
 
-    def __neg__(self) -> "FracQSeries":
-        return FracQSeries(self.prefactor, [-c for c in self.coeffs])
+    def __add__(self, other: "FracQSeries") -> "FracQSeries":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "FracQSeries") -> "FracQSeries":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "FracQSeries":
+        a, d = self.numerators()
+        return FracQSeries._from_ints(self.prefactor, [-x for x in a], d)
 
     def __mul__(self, other) -> "FracQSeries":
         if isinstance(other, (int, Fraction)):
@@ -145,45 +193,54 @@ class FracQSeries:
         n = min(self.order, other.order)
         a, da = self.numerators()
         b, db = other.numerators()
-        d = da * db
-        coeffs = [Fraction(sum(map(mul, a[:k + 1], b[k::-1])), d) for k in range(n)]
-        return FracQSeries(self.prefactor + other.prefactor, coeffs)
+        nums = [sum(map(mul, a, b[k::-1])) for k in range(n)]   # map stops at k + 1 terms
+        return FracQSeries._from_ints(self.prefactor + other.prefactor, nums, da * db)
 
     __rmul__ = __mul__
 
     def scale(self, k: RationalLike) -> "FracQSeries":
         k = rat(k)
-        return FracQSeries(self.prefactor, [k * c for c in self.coeffs])
+        a, d = self.numerators()
+        return FracQSeries._from_ints(self.prefactor, [k.numerator * x for x in a],
+                                      k.denominator * d)
 
     def invert(self) -> "FracQSeries":
         """Multiplicative inverse up to the stored order; prefactor is negated.
 
         With f = a/d over ints, fraction-free: h_0 = 1 and
-        h_m = -sum_{k>=1} a_k a_0^(k-1) h_{m-k}, so that (1/f)_m = d h_m / a_0^(m+1).
+        h_m = -sum_{k>=1} a_k a_0^(k-1) h_{m-k}, so that (1/f)_m = d h_m / a_0^(m+1),
+        which is d h_m a_0^(N-1-m) over the one denominator a_0^N.
         """
-        if self.coeffs[0] == 0:
-            raise ZeroLeadingCoefficient("leading coefficient is zero")
         a, d = self.numerators()
         a0 = a[0]
-        w = [a[k] * a0 ** (k - 1) for k in range(1, self.order)]
+        if a0 == 0:
+            raise ZeroLeadingCoefficient("leading coefficient is zero")
+        powers = [1]   # a_0^0 ... a_0^(N-1)
+        for _ in range(1, self.order):
+            powers.append(powers[-1] * a0)
+        w = list(map(mul, a[1:], powers))
         h = [1]
         for m in range(1, self.order):
-            h.append(-sum(map(mul, w[:m], h[::-1])))
-        return FracQSeries(-self.prefactor,
-                           [Fraction(d * h[m], a0 ** (m + 1)) for m in range(self.order)])
+            h.append(-sum(map(mul, w, reversed(h))))
+        nums = [d * hm * p for hm, p in zip(h, reversed(powers))]
+        return FracQSeries._from_ints(-self.prefactor, nums, powers[-1] * a0)
 
     def q_derivative(self) -> "FracQSeries":
-        """The operator q d/dq: coefficient of q^(a+n) is multiplied by a+n."""
-        a = self.prefactor
-        return FracQSeries(a, [(a + n) * c for n, c in enumerate(self.coeffs)])
+        """The operator q d/dq: coefficient of q^(a+n) is multiplied by a+n; with
+        a = p/q and c_n = x_n/d that is (p + n q) x_n over q d."""
+        p, q = self.prefactor.numerator, self.prefactor.denominator
+        a, d = self.numerators()
+        return FracQSeries._from_ints(self.prefactor,
+                                      list(map(mul, range(p, p + q * self.order, q), a)), q * d)
 
     def mul_sparse(self, exponent: int, coefficient: RationalLike) -> "FracQSeries":
         """Multiply by the binomial (1 + coefficient * q^exponent) in O(order)."""
         c = rat(coefficient)
-        coeffs = list(self.coeffs)
+        a, d = self.numerators()
+        nums = [c.denominator * x for x in a]
         for n in range(self.order - 1, exponent - 1, -1):
-            coeffs[n] += c * self.coeffs[n - exponent]
-        return FracQSeries(self.prefactor, coeffs)
+            nums[n] += c.numerator * a[n - exponent]
+        return FracQSeries._from_ints(self.prefactor, nums, c.denominator * d)
 
     # -- serialization -----------------------------------------------------------
 
@@ -194,3 +251,8 @@ class FracQSeries:
             "order": self.order,
             "coeffs": [rat_str(c) for c in self.coeffs],
         }
+
+
+def _aligned(nums: Sequence[int], unit: int, offset: int, n: int) -> list[int]:
+    """nums times unit, moved up by offset zeros and cut to n terms."""
+    return [0] * offset + [x * unit for x in nums[:n - offset]]

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import CutoffTooLarge, NotInUpperHalfPlane
-from .series import DEFAULT_ORDER, FracQSeries
+from .series import DEFAULT_ORDER, FracQSeries, check_order
 
 
 def divisor_sums(k: int, n_max: int) -> list[int]:
@@ -48,7 +48,7 @@ def euler_product(exponents: Iterable[int], sign: int, invert: bool,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [1] + [0] * (order - 1)
+    coeffs = [1] + [0] * (check_order(order) - 1)
     for e in exponents:
         if e < 1:
             raise ValueError(f"exponent {e} < 1")
@@ -74,7 +74,7 @@ def eisenstein(k: int, order: int = DEFAULT_ORDER) -> FracQSeries:
         mult, power = 240, 3
     else:
         raise ValueError("only E2 and E4 are provided")
-    sig = divisor_sums(power, order - 1)
+    sig = divisor_sums(power, check_order(order) - 1)
     return FracQSeries(0, [1] + [mult * s for s in sig])
 
 
@@ -83,8 +83,8 @@ RR_MODULUS = 5
 RR_RESIDUES = {"G": (1, 4), "H": (2, 3)}
 
 
-def _rr_parts(which: str, order: int) -> list[int]:
-    return [e for e in range(1, order) if e % RR_MODULUS in RR_RESIDUES[which]]
+def _rr_parts(which: str, order: int) -> Iterable[int]:
+    return (e for e in range(1, order) if e % RR_MODULUS in RR_RESIDUES[which])
 
 
 def rr_product(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:

@@ -14,9 +14,9 @@ from qcft import boson, partitions, special, virasoro
 from qcft.checks import GROUPS, run_all, run_group
 from qcft.cli import _parse_progressions, build_parser, main
 from qcft.config import RunConfig, load_config
-from qcft.errors import ConfigParse, GoldenMismatch
+from qcft.errors import ConfigParse, GoldenMismatch, OrderTooLarge
 from qcft.reports import CheckReport, compare_golden, reports_to_bytes, write_golden
-from qcft.series import FracQSeries
+from qcft.series import MAX_ORDER, FracQSeries
 
 GOLDEN_EXACT = Path(__file__).parent / "data" / "golden_exact.json"
 ORDER_ARGS = ["--order", "40"]
@@ -263,6 +263,37 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     bad.write_text("order = banana\n")
     assert main(["series", "--config", str(bad)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_orders_above_max_order_are_typed(tmp_path, monkeypatch):
+    with pytest.raises(OrderTooLarge):
+        load_config(order=MAX_ORDER + 1)
+    f = tmp_path / "big.cfg"
+    f.write_text(f"order = {MAX_ORDER + 1}\n")
+    with pytest.raises(OrderTooLarge):
+        load_config(f)
+    monkeypatch.setenv("QCFT_ORDER", str(MAX_ORDER + 1))
+    with pytest.raises(OrderTooLarge):
+        load_config()
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_exit_code_2_on_order_above_max_order(source, tmp_path, monkeypatch, capsys):
+    big = str(MAX_ORDER + 1)
+    args = ["ode"]
+    if source == "flag":
+        args += ["--order", big]
+    elif source == "env":
+        monkeypatch.setenv("QCFT_ORDER", big)
+    else:
+        f = tmp_path / "big.cfg"
+        f.write_text(f"order = {big}\n")
+        args += ["--config", str(f)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"order {big} exceeds MAX_ORDER = {MAX_ORDER}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_exit_code_2_on_bad_progressions(capsys):

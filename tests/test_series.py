@@ -1,15 +1,17 @@
 """Exact series arithmetic: frozen examples plus ring-axiom property tests."""
 
 import copy
+import math
 import pickle
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcft.errors import NonAlignablePrefactor, ZeroLeadingCoefficient
-from qcft.series import FracQSeries
+from qcft.errors import NonAlignablePrefactor, OrderTooLarge, ZeroLeadingCoefficient
+from qcft.series import MAX_ORDER, FracQSeries, check_order, rat
 
 
 def poly(*coeffs, prefactor=0, order=None):
@@ -239,3 +241,167 @@ def test_copy_and_pickle_rebuild_the_series(warm):
         assert g.numerators() == f.numerators()
         with pytest.raises(AttributeError):
             g.order = 1
+
+
+# -- every operation over the int pair ------------------------------------------------
+
+def fraction_sum(f, g, sign):
+    """f + sign * g term by term over exponents, from the lower prefactor to the
+    first exponent either series no longer stores."""
+    terms = {}
+    for h, k in ((f, 1), (g, sign)):
+        for i, c in enumerate(h.coeffs):
+            terms[h.prefactor + i] = terms.get(h.prefactor + i, 0) + k * c
+    lo = min(f.prefactor, g.prefactor)
+    hi = min(f.prefactor + f.order, g.prefactor + g.order)
+    return lo, [F(terms.get(lo + n, 0)) for n in range(int(hi - lo))]
+
+
+def assert_canonical(h):
+    """The kept pair is the one a series rebuilt from h's Fractions computes, reduced,
+    and copies and pickles of h compare, hash and serialize equal."""
+    nums, d = h.numerators()
+    assert (nums, d) == FracQSeries(h.prefactor, h.coeffs).numerators()
+    assert d > 0 and math.gcd(d, *nums) == 1
+    assert tuple(F(x, d) for x in nums) == h.coeffs
+    for c in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert c == h and hash(c) == hash(h) and c.to_record() == h.to_record()
+
+
+@st.composite
+def alignable_pairs(draw):
+    f, g = draw(wide_series()), draw(wide_series())
+    s = draw(st.integers(1 - min(f.order, g.order), min(f.order, g.order) - 1))
+    return f, FracQSeries(f.prefactor + s, g.coeffs)
+
+
+@given(alignable_pairs(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_add_and_sub_match_fraction_sums(pair, warm):
+    f, g = pair
+    if warm:
+        f.numerators(), g.numerators()
+    for h, sign in ((f + g, 1), (f - g, -1), (g - f, None)):
+        lo, want = fraction_sum(g, f, -1) if sign is None else fraction_sum(f, g, sign)
+        assert h.prefactor == lo and list(h.coeffs) == want
+        assert_canonical(h)
+    assert (f - f).is_zero() and (f - f).numerators() == ((0,) * f.order, 1)
+
+
+scales = st.sampled_from((F(0), F(1), F(-1), F(2), F(-3, 7), F(5, 12), F(-60), F(1, 60)))
+
+
+@given(wide_series(), scales)
+@settings(max_examples=80, deadline=None)
+def test_neg_scale_and_q_derivative_match_fractions(f, k):
+    cases = ((-f, [-c for c in f.coeffs]),
+             (f.scale(k), [k * c for c in f.coeffs]),
+             (k * f, [k * c for c in f.coeffs]),
+             (f.q_derivative(), [(f.prefactor + n) * c for n, c in enumerate(f.coeffs)]))
+    for h, want in cases:
+        assert h.prefactor == f.prefactor and list(h.coeffs) == want
+        assert_canonical(h)
+    assert f.scale(0).is_zero() and not f.is_zero()
+
+
+@given(wide_series(), wide_series())
+@settings(max_examples=40, deadline=None)
+def test_mul_and_invert_keep_the_reduced_pair(f, g):
+    for h in (f * g, f.invert(), g.invert().invert()):
+        assert_canonical(h)
+
+
+def test_negative_leading_numerator_inverts_over_a_positive_denominator():
+    # a_0 = -5/1 at an odd order: a_0^order is negative and the sign moves to the nums
+    f = poly(-5, F(1, 3), 2)
+    inv = f.invert()
+    assert list(inv.coeffs) == fraction_inverse(f.coeffs)
+    assert_canonical(inv)
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                       "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__",
+                       "__abs__")
+
+
+def guard_series(order, prefactor):
+    heads = (F(3, 7), F(-1), F(12, 5), F(-1, 60))
+    return FracQSeries(prefactor, [heads[order % 4]] + [
+        F((7 * i) % 11 - 5, (1, 2, 3, 7, 60)[i % 5]) for i in range(1, order)])
+
+
+GUARD_OPS = {
+    "add": lambda f, g: f + g,
+    "sub": lambda f, g: f - g,
+    "neg": lambda f, g: -f,
+    "scale": lambda f, g: f.scale(F(-3, 7)),
+    "rmul": lambda f, g: F(5, 12) * f,
+    "q_derivative": lambda f, g: f.q_derivative(),
+    "mul": lambda f, g: f * g,
+    "invert": lambda f, g: f.invert(),
+    "is_zero": lambda f, g: f.is_zero(),
+    "mul_sparse": lambda f, g: f.mul_sparse(3, F(-2, 5)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(GUARD_OPS))
+def test_fraction_arithmetic_does_not_grow_with_the_order(op, monkeypatch):
+    """Each operation runs over ints: the Fraction arithmetic it does (on the prefactor
+    alone) is the same at order 16 and at order 64."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    inputs = {n: (guard_series(n, F(-7, 60)), guard_series(n, F(53, 60))) for n in (16, 64)}
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
+    counts = {}
+    for n, (f, g) in inputs.items():
+        calls.clear()
+        GUARD_OPS[op](f, g)
+        counts[n] = dict(calls)
+    assert counts[16] == counts[64]
+    assert sum(counts[64].values()) <= 2
+
+
+# -- floats and orders ----------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: rat(0.1),
+    lambda: rat(2.0),
+    lambda: FracQSeries(0, [1, 0.1]),
+    lambda: FracQSeries(0.5, [1]),
+    lambda: poly(1, 2).scale(0.5),
+    lambda: poly(1, 2) * 0.5,
+    lambda: poly(1, 2).mul_sparse(1, 0.5),
+    lambda: FracQSeries.monomial(0.25, 3),
+], ids=["rat", "rat integral", "coeff", "prefactor", "scale", "mul", "mul_sparse", "monomial"])
+def test_floats_are_rejected(call):
+    with pytest.raises(TypeError, match="float"):
+        call()
+
+
+def test_rat_keeps_exact_inputs():
+    assert rat(F(1, 3)) == F(1, 3) and rat(-4) == -4 and rat("3/7") == F(3, 7)
+    assert rat("0.1") == F(1, 10) and rat(True) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_order(MAX_ORDER + 1),
+    lambda: FracQSeries.one(MAX_ORDER + 1),
+    lambda: FracQSeries.monomial(F(1, 24), MAX_ORDER + 1),
+    lambda: FracQSeries.from_coeff_list([1], order=MAX_ORDER + 1),
+], ids=["check_order", "one", "monomial", "from_coeff_list"])
+def test_orders_above_max_order_raise(call):
+    with pytest.raises(OrderTooLarge, match=f"MAX_ORDER = {MAX_ORDER}"):
+        call()
+
+
+def test_max_order_itself_is_accepted():
+    assert check_order(MAX_ORDER) == MAX_ORDER
+    assert FracQSeries.one(MAX_ORDER).order == MAX_ORDER

@@ -5,6 +5,7 @@ enumeration, partition enumeration)."""
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcft import boson, mock, special, virasoro
-from qcft.errors import CutoffTooLarge, NotInUpperHalfPlane
-from qcft.series import FracQSeries
+from qcft import boson, mock, partitions, regularization, special, virasoro
+from qcft.config import RunConfig
+from qcft.errors import CutoffTooLarge, NotInUpperHalfPlane, OrderTooLarge
+from qcft.series import MAX_ORDER, FracQSeries
 from qcft.special import (CUTOFF_MARGIN, CUTOFF_TARGET, adaptive_cutoff,
                           dedekind_eta, eisenstein, euler_product, eta_eval, evaluate_series,
                           rr_product)
@@ -408,3 +410,52 @@ EXTREME_INPUTS = {
 def test_extreme_inputs_raise_cutoff_too_large(entry):
     with pytest.raises(CutoffTooLarge):
         EXTREME_INPUTS[entry]()
+
+
+# The order-taking entry points just above MAX_ORDER (count_partitions and
+# unrestricted_p return n_max + 1 counts).  EXTREME_INPUTS' test asserts
+# CutoffTooLarge, so these rows keep a table of their own.
+ABOVE = MAX_ORDER + 1
+RR_SET = regularization.ArithmeticProgressionSet(((5, 1), (5, 4)))
+
+EXTREME_ORDERS = {
+    "RunConfig": lambda: RunConfig(order=ABOVE),
+    "euler_product": lambda: euler_product(range(1, ABOVE), -1, False, ABOVE),
+    "dedekind_eta": lambda: dedekind_eta(ABOVE),
+    "eisenstein 2": lambda: eisenstein(2, ABOVE),
+    "eisenstein 4": lambda: eisenstein(4, ABOVE),
+    "rr_product": lambda: rr_product("H", ABOVE),
+    "count_partitions": lambda: partitions.count_partitions(
+        MAX_ORDER, partitions.PartitionConstraint(min_part=1, min_gap=2)),
+    "count_partitions window": lambda: partitions.count_partitions(
+        MAX_ORDER, partitions.PartitionConstraint(window=(3, 2))),
+    "unrestricted_p": lambda: partitions.unrestricted_p(MAX_ORDER),
+    "character_25": lambda: virasoro.character_25("Vm15", ABOVE),
+    "ode_residual": lambda: virasoro.ode_residual("G", ABOVE),
+    "oscillator_partition_series": lambda: regularization.oscillator_partition_series(
+        RR_SET, ABOVE),
+    "twisted_oscillator_series": lambda: regularization.twisted_oscillator_series(
+        RR_SET, ABOVE),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EXTREME_ORDERS))
+def test_extreme_orders_raise_before_allocating(entry):
+    # an order-sized list of ABOVE entries takes 8 * ABOVE bytes of pointers alone
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderTooLarge, match=f"exceeds MAX_ORDER = {MAX_ORDER}"):
+            EXTREME_ORDERS[entry]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * MAX_ORDER
+
+
+def test_max_order_is_accepted():
+    # few factors and few allowed parts, so that the bound itself is all that is tested
+    assert euler_product([MAX_ORDER - 1], -1, False, MAX_ORDER)[-1] == -1
+    counts = partitions.count_partitions(
+        MAX_ORDER - 1, partitions.PartitionConstraint(min_part=MAX_ORDER - 1))
+    assert len(counts) == MAX_ORDER and counts[MAX_ORDER - 1] == 1
+    assert RunConfig(order=MAX_ORDER).order == MAX_ORDER
