@@ -68,19 +68,23 @@ def lattice_determinant_ratio(spec: LatticeSpec, m1: float, m2: float) -> float:
     """det(Delta_lattice + m1^2) / det(Delta_lattice + m2^2).
 
     Eigenvalues of the periodic 5-point Laplacian are explicit; the ratio
-    cancels any overall measure normalization.
+    cancels any overall measure normalization.  The k-direction eigenvalues
+    and the squared masses are computed once; each term is the same float
+    expression, summed in the same order.
     """
     if m1 <= 0 or m2 <= 0:
         raise ValueError("masses must be positive")
     lx, ly = spec.sites
     a1 = spec.lengths[0] / lx
     a2 = spec.lengths[1] / ly
+    ck = [(2 / a2 ** 2) * (1 - math.cos(2 * math.pi * k / ly)) for k in range(ly)]
+    m1_sq, m2_sq = m1 * m1, m2 * m2
     log_ratio = 0.0
     for j in range(lx):
         cj = (2 / a1 ** 2) * (1 - math.cos(2 * math.pi * j / lx))
-        for k in range(ly):
-            lam = cj + (2 / a2 ** 2) * (1 - math.cos(2 * math.pi * k / ly))
-            log_ratio += math.log((lam + m1 * m1) / (lam + m2 * m2))
+        for c in ck:
+            lam = cj + c
+            log_ratio += math.log((lam + m1_sq) / (lam + m2_sq))
     return math.exp(log_ratio)
 
 

@@ -151,8 +151,8 @@ def check_minimal_model(cfg: RunConfig) -> list[CheckReport]:
     n = min(cfg.order, 201)
     for sector, which in virasoro.SECTOR_PRODUCT.items():
         chi = virasoro.character_25(sector, n)
-        ref = FracQSeries(virasoro.CHARACTER_PREFACTOR[sector],
-                          special.rr_product(which, n).coeffs)
+        ref = FracQSeries.from_ints(virasoro.CHARACTER_PREFACTOR[sector],
+                                    *special.rr_product(which, n).numerators())
         out.append(_exact(f"minimal.character_{sector}", {"order": n}, chi == ref))
 
     if not cfg.exact_only:
@@ -223,7 +223,7 @@ def check_boson(cfg: RunConfig) -> list[CheckReport]:
     numeric_twisted = boson.twisted_boson_partition_function(1j)
     series = regularization.twisted_oscillator_series(
         regularization.ArithmeticProgressionSet([(1, 1)]), 64)
-    body = FracQSeries(0, series.coeffs)
+    body = FracQSeries.from_ints(0, *series.numerators())
     val = special.evaluate_series(body, 1j)
     out.append(_numeric("boson.twisted_matches_exact_series", {"tau": "i"},
                         abs(numeric_twisted - abs(val) ** 2), 1e-10))

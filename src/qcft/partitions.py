@@ -2,16 +2,19 @@
 
 The library counts by two iterative dynamic programs, run alone by
 count_partitions: a table over the smallest allowed part for the gap and
-congruence rules, and a multiplicity DP over part values for the window rule.
-One backtracking enumerator applies the raw definition to explicit part lists;
-it is the oracle, which the rr.partition_oracle records compare with the DP to
-n = 60.  Two independent DPs check the Andrews-Gordon identity, one per side.
+congruence rules, and a multiplicity DP over part values for the window rule,
+whose state stops at n_max copies of a value however large the window.  One
+backtracking enumerator applies the raw definition to explicit part lists and
+counts each one, a leaf without a call of its own; it is the oracle, which the
+rr.partition_oracle records compare with the DP to n = 60.  Two independent
+DPs check the Andrews-Gordon identity, one per side.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import ConflictingConstraint
 from .reports import CheckReport
@@ -104,31 +107,41 @@ def _enumerate_counts(n_max: int, c: PartitionConstraint) -> list[int]:
     previous part, the window ending at s, and the ones budget.  Every other
     rule instance involves accepted parts only, so this is parts_valid on the
     extended list, and a failed prefix is pruned soundly: a prefix of a valid
-    partition is itself valid.
+    partition is itself valid.  Each partition is counted once, when its last
+    part is placed; the walk descends into it only if the gap and the sum
+    leave room for one more allowed part, so a leaf is counted without a call.
     """
     counts = [0] * (n_max + 1)
     counts[0] = 1  # empty partition
     k, wgap = c.window if c.window is not None else (0, 0)
     if k == 1 and wgap > 0:
         return counts  # b_j - b_j >= gap fails for every part
+    gap = c.min_gap
     # descending[h]: the parts <= h that pass the size and residue rules
-    descending = [[s for s in range(h, c.min_part - 1, -1) if c.part_allowed(s)]
-                  for h in range(n_max + 1)]
+    allowed = [s for s in range(n_max, c.min_part - 1, -1) if c.part_allowed(s)]
+    descending = [[s for s in allowed if s <= h] for h in range(n_max + 1)]
+    lo = allowed[-1] if allowed else n_max + 1   # the smallest of them
     parts = [0] * n_max  # parts[:depth] is the partition being extended
 
     def extend(total: int, depth: int, hi: int, ones_left: int):
-        # hi: the largest part the gap to the previous part allows
-        hi = min(hi, n_max - total)
+        # hi: the largest part the gap to the previous part and the sum allow
         if k > 1 and depth >= k - 1:
-            hi = min(hi, parts[depth - k + 1] - wgap)
-        if hi < 1:
-            return
+            bound = parts[depth - k + 1] - wgap   # the window ending at the new part
+            if bound < hi:
+                if bound < lo:   # also keeps a negative bound out of descending
+                    return
+                hi = bound
         for s in descending[hi]:
             if s == 1 and ones_left == 0:
                 break
-            counts[total + s] += 1
-            parts[depth] = s
-            extend(total + s, depth + 1, s - c.min_gap, ones_left - (s == 1))
+            t = total + s
+            counts[t] += 1
+            nxt = s - gap
+            if n_max - t < nxt:
+                nxt = n_max - t
+            if nxt >= lo:
+                parts[depth] = s
+                extend(t, depth + 1, nxt, ones_left - (s == 1))
 
     extend(0, 0, n_max, n_max if c.max_ones is None else c.max_ones)
     return counts
@@ -165,9 +178,12 @@ def _dp_window(n_max: int, c: PartitionConstraint) -> list[int]:
 
     b_j - b_{j+k-1} >= 2 is equivalent to f_v + f_{v+1} <= k - 1 for the
     multiplicities f_v of each value v.  Values are taken in increasing
-    order; the state is (multiplicity of the previous value, total).
+    order; the state is (multiplicity of the previous value, total).  No
+    value fits more than n_max times, so the layers stop at min(k - 1, n_max)
+    and the cost does not grow with k.
     """
-    top = c.window[0] - 1
+    room = c.window[0] - 1   # f_v + f_{v+1} <= room
+    top = min(room, n_max)
     zero = [0] * (n_max + 1)
     # layer[f][t]: multiplicities of the values so far, f copies of the last one, sum t
     layer = [[1] + [0] * n_max] + [zero] * top
@@ -175,17 +191,18 @@ def _dp_window(n_max: int, c: PartitionConstraint) -> list[int]:
         cap = min(top, n_max // v) if c.part_allowed(v) else 0
         if v == 1 and c.max_ones is not None:
             cap = min(cap, c.max_ones)
-        # below[j] sums the layers with f <= j copies of v - 1
+        # below[j] sums the layers with f <= j copies of v - 1 (all of them for j >= top);
+        # a zero layer, a multiplicity v - 1 could not take, leaves the sum as it is
         below = [layer[0]]
         for f in range(1, top + 1):
-            below.append([a + b for a, b in zip(below[-1], layer[f])])
+            below.append(below[-1] if layer[f] is zero else list(map(add, below[-1], layer[f])))
         layer = [below[top]]
         for f in range(1, top + 1):
             if f > cap:
                 layer.append(zero)
             else:
                 shift = f * v
-                layer.append([0] * shift + below[top - f][:n_max + 1 - shift])
+                layer.append([0] * shift + below[min(room - f, top)][:n_max + 1 - shift])
     return [sum(column) for column in zip(*layer)]
 
 
@@ -223,15 +240,17 @@ def unrestricted_p(n_max: int) -> CountTable:
 
 # -- Andrews-Gordon ------------------------------------------------------------
 
-def _gordon_constraints(k: int, i: int) -> tuple[PartitionConstraint, PartitionConstraint]:
-    """The two sides of Gordon's theorem for (k, i).
+def _gordon_constraints(k: int, i: int, n_max: int) -> tuple[PartitionConstraint,
+                                                               PartitionConstraint]:
+    """The two sides of Gordon's theorem for (k, i), for parts up to n_max.
 
     Partitions with b_j - b_{j+k-1} >= 2 and at most i - 1 ones are
     equinumerous with partitions into parts not congruent to 0, +-i mod 2k+1
-    (Andrews, The Theory of Partitions, ch. 7).
+    (Andrews, The Theory of Partitions, ch. 7).  Only residues a part up to
+    n_max can have are listed, so the set does not grow with k.
     """
     m = 2 * k + 1
-    residues = frozenset(range(1, m)) - {i % m, (-i) % m}
+    residues = frozenset(range(1, min(m, n_max + 1))) - {i % m, (-i) % m}
     return (PartitionConstraint(window=(k, 2), max_ones=i - 1),
             PartitionConstraint(allowed_residues=residues, modulus=m))
 
@@ -242,7 +261,7 @@ def gordon_check(k: int, i: int, n_max: int) -> CheckReport:
         raise ValueError("need 2 <= k and 1 <= i <= k")
     if not (0 <= n_max <= GORDON_LIMIT):
         raise ValueError(f"need 0 <= n_max <= {GORDON_LIMIT}")
-    gaps, congruences = _gordon_constraints(k, i)
+    gaps, congruences = _gordon_constraints(k, i, n_max)
     lhs = _dp_window(n_max, gaps)
     rhs = _dp_counts(n_max, congruences)
     bad = [(n, lhs[n], rhs[n]) for n in range(n_max + 1) if lhs[n] != rhs[n]]

@@ -5,10 +5,12 @@ all c_n rational.  The prefactor exponent a carries objects like eta =
 q^{1/24} * prod (1 - q^n) exactly; the integer-indexed part keeps the Cauchy
 product simple.  Every ring operation computes on the int pair (a, d) with
 c_n = a_n / d (numerators(): cleared once per series, on first use) and returns
-through one constructor, _from_ints, which reduces the result's pair once and
+through one constructor, from_ints, which reduces the result's pair once and
 builds its Fraction coefficients from it in one pass; the pair it keeps is the
-one numerators() would compute.  No floating point enters anywhere in this
-module: rat rejects a float.
+one numerators() would compute.  The exact constructors that start from int
+coefficients (eta, E2 and E4, the Rogers-Ramanujan products, the (2,5)
+characters, the oscillator series) build through it too.  No floating point
+enters anywhere in this module: rat rejects a float.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ MAX_ORDER = 4096
 
 RationalLike = Union[Fraction, int, str]
 
-#: Fraction(x) for every int x in [-SMALL, SMALL]: the views _from_ints builds share
+#: Fraction(x) for every int x in [-SMALL, SMALL]: the views from_ints builds share
 #: them (a Fraction is immutable), which saves a Fraction(x) call per small coefficient.
 SMALL = 256
 _SMALL_FRACTIONS = tuple(Fraction(x) for x in range(-SMALL, SMALL + 1))
@@ -62,7 +64,7 @@ def rat_str(x: Fraction) -> str:
 class FracQSeries:
     """Immutable truncated power series q^prefactor * sum coeffs[n] q^n."""
 
-    # _numerators: the reduced int pair, kept by _from_ints or filled by numerators()
+    # _numerators: the reduced int pair, kept by from_ints or filled by numerators()
     # on first use; == and hash ignore it
     __slots__ = ("prefactor", "coeffs", "order", "_numerators")
 
@@ -83,12 +85,12 @@ class FracQSeries:
 
     @classmethod
     def one(cls, order: int = DEFAULT_ORDER) -> "FracQSeries":
-        return cls(0, [1] + [0] * (check_order(order) - 1))
+        return cls.from_ints(0, [1] + [0] * (check_order(order) - 1))
 
     @classmethod
     def monomial(cls, exponent: RationalLike, order: int = DEFAULT_ORDER) -> "FracQSeries":
         """q^exponent as a series."""
-        return cls(exponent, [1] + [0] * (check_order(order) - 1))
+        return cls.from_ints(exponent, [1] + [0] * (check_order(order) - 1))
 
     @classmethod
     def from_coeff_list(cls, coeffs: Sequence[RationalLike], order: int | None = None,
@@ -115,11 +117,15 @@ class FracQSeries:
         return f"FracQSeries(q^{self.prefactor} * [{head}{tail}], order={self.order})"
 
     @classmethod
-    def _from_ints(cls, prefactor: Fraction, nums: list[int], d: int) -> "FracQSeries":
+    def from_ints(cls, prefactor: RationalLike, nums: Sequence[int],
+                  d: int = 1) -> "FracQSeries":
         """q^prefactor * sum nums[n]/d q^n for ints nums and d != 0: the pair is reduced
         once (d > 0, gcd(d, *nums) = 1), kept as the numerators() memo, and the
         Fraction coefficients are built from it in one pass: Fraction(x) (shared for
         |x| <= SMALL) when d == 1, else Fraction(x, d)."""
+        if not nums or d == 0:
+            raise ValueError("a series needs at least one coefficient and a nonzero d")
+        prefactor = rat(prefactor)
         g = gcd(d, *nums)
         if d < 0:
             g = -g
@@ -172,8 +178,8 @@ class FracQSeries:
         b, db = other.numerators()
         d = lcm(da, db)
         nums = map(add, _aligned(a, d // da, off_f, n), _aligned(b, sign * (d // db), off_g, n))
-        return FracQSeries._from_ints(other.prefactor if s > 0 else self.prefactor,
-                                      list(nums), d)
+        return FracQSeries.from_ints(other.prefactor if s > 0 else self.prefactor,
+                                     list(nums), d)
 
     def __add__(self, other: "FracQSeries") -> "FracQSeries":
         return self._combine(other, 1)
@@ -183,7 +189,7 @@ class FracQSeries:
 
     def __neg__(self) -> "FracQSeries":
         a, d = self.numerators()
-        return FracQSeries._from_ints(self.prefactor, [-x for x in a], d)
+        return FracQSeries.from_ints(self.prefactor, [-x for x in a], d)
 
     def __mul__(self, other) -> "FracQSeries":
         if isinstance(other, (int, Fraction)):
@@ -194,15 +200,15 @@ class FracQSeries:
         a, da = self.numerators()
         b, db = other.numerators()
         nums = [sum(map(mul, a, b[k::-1])) for k in range(n)]   # map stops at k + 1 terms
-        return FracQSeries._from_ints(self.prefactor + other.prefactor, nums, da * db)
+        return FracQSeries.from_ints(self.prefactor + other.prefactor, nums, da * db)
 
     __rmul__ = __mul__
 
     def scale(self, k: RationalLike) -> "FracQSeries":
         k = rat(k)
         a, d = self.numerators()
-        return FracQSeries._from_ints(self.prefactor, [k.numerator * x for x in a],
-                                      k.denominator * d)
+        return FracQSeries.from_ints(self.prefactor, [k.numerator * x for x in a],
+                                     k.denominator * d)
 
     def invert(self) -> "FracQSeries":
         """Multiplicative inverse up to the stored order; prefactor is negated.
@@ -223,15 +229,15 @@ class FracQSeries:
         for m in range(1, self.order):
             h.append(-sum(map(mul, w, reversed(h))))
         nums = [d * hm * p for hm, p in zip(h, reversed(powers))]
-        return FracQSeries._from_ints(-self.prefactor, nums, powers[-1] * a0)
+        return FracQSeries.from_ints(-self.prefactor, nums, powers[-1] * a0)
 
     def q_derivative(self) -> "FracQSeries":
         """The operator q d/dq: coefficient of q^(a+n) is multiplied by a+n; with
         a = p/q and c_n = x_n/d that is (p + n q) x_n over q d."""
         p, q = self.prefactor.numerator, self.prefactor.denominator
         a, d = self.numerators()
-        return FracQSeries._from_ints(self.prefactor,
-                                      list(map(mul, range(p, p + q * self.order, q), a)), q * d)
+        return FracQSeries.from_ints(self.prefactor,
+                                     list(map(mul, range(p, p + q * self.order, q), a)), q * d)
 
     def mul_sparse(self, exponent: int, coefficient: RationalLike) -> "FracQSeries":
         """Multiply by the binomial (1 + coefficient * q^exponent) in O(order)."""
@@ -240,7 +246,7 @@ class FracQSeries:
         nums = [c.denominator * x for x in a]
         for n in range(self.order - 1, exponent - 1, -1):
             nums[n] += c.numerator * a[n - exponent]
-        return FracQSeries._from_ints(self.prefactor, nums, c.denominator * d)
+        return FracQSeries.from_ints(self.prefactor, nums, c.denominator * d)
 
     # -- serialization -----------------------------------------------------------
 

@@ -63,7 +63,7 @@ def euler_product(exponents: Iterable[int], sign: int, invert: bool,
 
 def dedekind_eta(order: int = DEFAULT_ORDER) -> FracQSeries:
     """q^{1/24} * prod_{n>=1} (1 - q^n), truncated after `order` coefficients."""
-    return FracQSeries(Fraction(1, 24), euler_product(range(1, order), -1, False, order))
+    return FracQSeries.from_ints(Fraction(1, 24), euler_product(range(1, order), -1, False, order))
 
 
 def eisenstein(k: int, order: int = DEFAULT_ORDER) -> FracQSeries:
@@ -75,7 +75,7 @@ def eisenstein(k: int, order: int = DEFAULT_ORDER) -> FracQSeries:
     else:
         raise ValueError("only E2 and E4 are provided")
     sig = divisor_sums(power, check_order(order) - 1)
-    return FracQSeries(0, [1] + [mult * s for s in sig])
+    return FracQSeries.from_ints(0, [1] + [mult * s for s in sig])
 
 
 # parts of G and H (n % RR_MODULUS in the residues); the smallest is that of the gap-2 side
@@ -89,7 +89,7 @@ def _rr_parts(which: str, order: int) -> Iterable[int]:
 
 def rr_product(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     """Rogers-Ramanujan products 1 / prod (1 - q^e) over the parts of RR_RESIDUES."""
-    return FracQSeries(0, euler_product(_rr_parts(which, order), -1, True, order))
+    return FracQSeries.from_ints(0, euler_product(_rr_parts(which, order), -1, True, order))
 
 
 def check_tau(tau):

@@ -365,7 +365,7 @@ def character_25(sector: str, order: int = DEFAULT_ORDER) -> FracQSeries:
         raise ValueError("sector must be 'V0' or 'Vm15'")
     min_part = min(RR_RESIDUES[SECTOR_PRODUCT[sector]])
     counts = count_partitions(order - 1, PartitionConstraint(min_part=min_part, min_gap=2))
-    return FracQSeries(CHARACTER_PREFACTOR[sector], counts.values)
+    return FracQSeries.from_ints(CHARACTER_PREFACTOR[sector], counts.values)
 
 
 def torus_partition_function_25(tau: complex) -> float:
@@ -400,7 +400,7 @@ def ode_residual(which: str, order: int = DEFAULT_ORDER,
     sector = next((s for s, w in SECTOR_PRODUCT.items() if w == which), None)
     if sector is None:
         raise ValueError("which must be 'G' or 'H'")
-    z = FracQSeries(CHARACTER_PREFACTOR[sector], rr_product(which, order).coeffs)
+    z = FracQSeries.from_ints(CHARACTER_PREFACTOR[sector], *rr_product(which, order).numerators())
     dz = z.q_derivative()
     lhs = serre_derivative(dz, 2)
     rhs = rhs_coefficient * (eisenstein(4, order) * z)

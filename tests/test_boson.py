@@ -153,6 +153,31 @@ def test_continuum_quarter_sum_matches_full_sum():
                 assert abs(got - want) <= 1e-12 * want
 
 
+def lattice_ratio_double_loop(spec, m1, m2):
+    """The double loop lattice_determinant_ratio ran before its k eigenvalues and
+    squared masses were computed once per call."""
+    lx, ly = spec.sites
+    a1 = spec.lengths[0] / lx
+    a2 = spec.lengths[1] / ly
+    log_ratio = 0.0
+    for j in range(lx):
+        cj = (2 / a1 ** 2) * (1 - math.cos(2 * math.pi * j / lx))
+        for k in range(ly):
+            lam = cj + (2 / a2 ** 2) * (1 - math.cos(2 * math.pi * k / ly))
+            log_ratio += math.log((lam + m1 * m1) / (lam + m2 * m2))
+    return math.exp(log_ratio)
+
+
+# the report's sizes and masses, and one rectangular spec
+@pytest.mark.parametrize("spec,m1,m2", [
+    *((LatticeSpec((n, n)), m1, m2) for n in (16, 32, 64)
+      for m1, m2 in ((1.0, 2.0), (0.5, 3.0), (1.5, 1.5))),
+    (LatticeSpec((20, 28), (1.0, 2.5)), 1.1, 0.6),
+])
+def test_lattice_ratio_is_bit_identical_to_the_double_loop(spec, m1, m2):
+    assert lattice_determinant_ratio(spec, m1, m2) == lattice_ratio_double_loop(spec, m1, m2)
+
+
 def test_mass_monotonicity():
     spec = LatticeSpec((24, 24))
     assert lattice_determinant_ratio(spec, 2.0, 1.0) > 1.0

@@ -4,13 +4,14 @@ pentagonal recurrence and the product expansion to n = 100, both Andrews-Gordon
 sides against the backtracking enumerator, a property test of the enumerator
 and the DPs."""
 
+import tracemalloc
 from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcft import partitions
+from qcft import partitions, special
 from qcft.errors import ConflictingConstraint
 from qcft.partitions import (ENUMERATION_LIMIT, GORDON_LIMIT, PartitionConstraint,
                              _dp_counts, _dp_window, _enumerate_counts, _gordon_constraints,
@@ -129,6 +130,43 @@ def test_count_partitions_never_enumerates(monkeypatch):
         assert len(count_partitions(200, c)) == 201
 
 
+def test_oracle_never_counts_by_a_dp(monkeypatch):
+    # the other direction: the oracle reaches no DP and no product expansion
+    def refuse(*args):
+        raise AssertionError("the enumerator entered a DP or a product expansion")
+
+    for name in ("_dp_counts", "_dp_window", "count_partitions"):
+        monkeypatch.setattr(partitions, name, refuse)
+    monkeypatch.setattr(special, "euler_product", refuse)
+    oracle = [_enumerate_counts(ENUMERATION_LIMIT, c) for c in REPORT_CONSTRAINTS]
+    monkeypatch.undo()
+    assert oracle == [_dp_counts(ENUMERATION_LIMIT, c) for c in REPORT_CONSTRAINTS]
+
+
+def test_window_state_does_not_grow_with_k():
+    # no value fits more than n_max times, so a window of k > n_max counts as
+    # k = n_max + 1 does, with state of size n_max (about 20 kB here); k - 1 layers of
+    # n_max + 1 counts take 3 MB at k = 10^4, which runs first, so that k-sized state
+    # fails in seconds rather than minutes
+    n = 30
+    fit = count_partitions(n, PartitionConstraint(window=(n + 1, 2))).values
+    fit_sides = _gordon_constraints(n + 1, 1, n)
+    for huge in (10 ** 4, 10 ** 6):
+        tracemalloc.start()
+        try:
+            table = count_partitions(n, PartitionConstraint(window=(huge, 2)))
+            report = gordon_check(huge, 1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, huge
+        assert table.values == fit
+        assert report.passed and report.residual == gordon_check(n + 1, 1, n).residual
+        gaps, congruences = _gordon_constraints(huge, 1, n)
+        assert _dp_window(n, gaps) == _dp_window(n, fit_sides[0])
+        assert congruences.allowed_residues == fit_sides[1].allowed_residues
+
+
 @pytest.mark.parametrize("k,i", [(2, 1), (2, 2), (3, 1), (3, 3), (4, 2)])
 def test_gordon_identities(k, i):
     report = gordon_check(k, i, 45)
@@ -138,9 +176,9 @@ def test_gordon_identities(k, i):
 @pytest.mark.parametrize("k,i", GORDON_SHAPES)
 def test_gordon_sides_match_enumeration(k, i):
     # the oracle range: each DP against the single backtracking enumerator
-    gaps, congruences = _gordon_constraints(k, i)
-    assert gaps.window == (k, 2) and gaps.max_ones == i - 1
     n = ENUMERATION_LIMIT
+    gaps, congruences = _gordon_constraints(k, i, n)
+    assert gaps.window == (k, 2) and gaps.max_ones == i - 1
     assert _enumerate_counts(n, gaps) == _dp_window(n, gaps)
     assert _enumerate_counts(n, congruences) == _dp_counts(n, congruences)
 
@@ -189,6 +227,20 @@ def constraints(draw):
         kwargs["allowed_residues"] = draw(st.frozensets(st.integers(0, modulus - 1)))
     kwargs["max_ones"] = draw(st.none() | st.integers(0, 3))
     return PartitionConstraint(**kwargs)
+
+
+# windows whose bound reaches zero or below: after a part 1 or 2 under gap 2
+@pytest.mark.parametrize("c", [
+    PartitionConstraint(window=(2, 2)),
+    PartitionConstraint(window=(3, 2)),
+    PartitionConstraint(window=(3, 2), max_ones=1),
+    PartitionConstraint(min_part=2, window=(2, 2)),
+    PartitionConstraint(window=(4, 2), allowed_residues=frozenset({1, 2}), modulus=4),
+], ids=["k2", "k3", "k3_one_1", "k2_from_2", "k4_mod_4"])
+def test_enumerator_with_nonpositive_window_bounds(c):
+    brute = [sum(1 for p in all_partitions(n) if c.parts_valid(p)) for n in range(25)]
+    assert _enumerate_counts(24, c) == brute
+    assert _dp_window(24, c) == brute
 
 
 @settings(max_examples=60, deadline=None)

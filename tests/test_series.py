@@ -191,6 +191,26 @@ def test_numerators_reproduce_coeffs_and_are_memoized():
     assert f.numerators() is pair
 
 
+def test_from_ints_reduces_its_pair_once():
+    f = FracQSeries.from_ints("-1/60", [6, -9, 0, 12], -6)
+    assert f.prefactor == F(-1, 60) and type(f.prefactor) is F
+    assert f.coeffs == (F(-1), F(3, 2), F(0), F(-2))
+    assert f.numerators() == ((-2, 3, 0, -4), 2)
+    assert f == FracQSeries(F(-1, 60), f.coeffs)
+
+
+@pytest.mark.parametrize("nums,d", [([], 1), ([1, 2], 0)])
+def test_from_ints_rejects_an_empty_list_and_a_zero_denominator(nums, d):
+    with pytest.raises(ValueError):
+        FracQSeries.from_ints(0, nums, d)
+
+
+@pytest.mark.parametrize("nums", [[1, 0.5], [1, F(1, 2)]])
+def test_from_ints_takes_ints_only(nums):
+    with pytest.raises(TypeError):
+        FracQSeries.from_ints(0, nums)
+
+
 def test_numerators_memo_keeps_the_series_immutable():
     f = poly(1, F(1, 3))
     f.numerators()

@@ -459,3 +459,70 @@ def test_max_order_is_accepted():
         MAX_ORDER - 1, partitions.PartitionConstraint(min_part=MAX_ORDER - 1))
     assert len(counts) == MAX_ORDER and counts[MAX_ORDER - 1] == 1
     assert RunConfig(order=MAX_ORDER).order == MAX_ORDER
+
+
+# -- int-built constructors ----------------------------------------------------------
+
+def _gap_two_counts(n, min_part):
+    return partitions.count_partitions(
+        n - 1, partitions.PartitionConstraint(min_part=min_part, min_gap=2)).values
+
+
+def _eisenstein_ints(mult, power, n):
+    return [1] + [mult * s for s in special.divisor_sums(power, n - 1)]
+
+
+INT_BUILT_ORDER = 401
+# each constructor, and the same series built through __init__ from its int coefficients
+INT_BUILT = {
+    "one": (FracQSeries.one, lambda n: FracQSeries(0, [1] + [0] * (n - 1))),
+    "monomial": (lambda n: FracQSeries.monomial(F(-7, 60), n),
+                 lambda n: FracQSeries(F(-7, 60), [1] + [0] * (n - 1))),
+    "dedekind_eta": (dedekind_eta, lambda n: FracQSeries(
+        F(1, 24), euler_product(range(1, n), -1, False, n))),
+    "eisenstein 2": (lambda n: eisenstein(2, n),
+                     lambda n: FracQSeries(0, _eisenstein_ints(-24, 1, n))),
+    "eisenstein 4": (lambda n: eisenstein(4, n),
+                     lambda n: FracQSeries(0, _eisenstein_ints(240, 3, n))),
+    "rr_product G": (lambda n: rr_product("G", n), lambda n: FracQSeries(
+        0, euler_product(special._rr_parts("G", n), -1, True, n))),
+    "rr_product H": (lambda n: rr_product("H", n), lambda n: FracQSeries(
+        0, euler_product(special._rr_parts("H", n), -1, True, n))),
+    "character_25 V0": (lambda n: virasoro.character_25("V0", n),
+                        lambda n: FracQSeries(F(11, 60), _gap_two_counts(n, 2))),
+    "character_25 Vm15": (lambda n: virasoro.character_25("Vm15", n),
+                          lambda n: FracQSeries(F(-1, 60), _gap_two_counts(n, 1))),
+    "oscillator_partition_series": (
+        lambda n: regularization.oscillator_partition_series(RR_SET, n),
+        lambda n: FracQSeries(regularization.casimir_exponent(RR_SET),
+                              euler_product(RR_SET.members(n), -1, True, n))),
+    "twisted_oscillator_series": (
+        lambda n: regularization.twisted_oscillator_series(RR_SET, n),
+        lambda n: FracQSeries(regularization.casimir_exponent(RR_SET),
+                              euler_product(RR_SET.members(n), 1, True, n))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INT_BUILT))
+def test_int_built_series_match_the_fraction_constructor(entry):
+    # built through FracQSeries.from_ints: the same series, record and int pair
+    build, reference = INT_BUILT[entry]
+    f, ref = build(INT_BUILT_ORDER), reference(INT_BUILT_ORDER)
+    assert type(f.prefactor) is F and all(type(c) is F for c in f.coeffs)
+    assert f == ref
+    assert f.to_record() == ref.to_record()
+    assert f.numerators() == ref.numerators()
+
+
+@pytest.mark.parametrize("which", ["G", "H"])
+def test_ode_residual_matches_a_fraction_built_character(which):
+    # a wrong right-hand side, so that the residual is not zero; z built through __init__
+    sector = next(s for s, w in virasoro.SECTOR_PRODUCT.items() if w == which)
+    coefficient = F(1, 3600)
+    z = FracQSeries(virasoro.CHARACTER_PREFACTOR[sector], rr_product(which, 201).coeffs)
+    want = (virasoro.serre_derivative(z.q_derivative(), 2)
+            - coefficient * (eisenstein(4, 201) * z))
+    got = virasoro.ode_residual(which, 201, coefficient)
+    assert not got.is_zero()
+    assert got.to_record() == want.to_record()
+    assert got.numerators() == want.numerators()
