@@ -195,7 +195,8 @@ def check_ode(cfg: RunConfig) -> list[CheckReport]:
     out = []
     for which in ("G", "H"):
         res = virasoro.ode_residual(which, n)
-        first = next((rat_str(res.prefactor + k) for k, c in enumerate(res.coeffs) if c), None)
+        first = next((rat_str(res.prefactor + k) for k, x in enumerate(res.numerators()[0]) if x),
+                     None)
         out.append(_located(f"ode.residual_{which}", {"order": n},
                             "first_nonzero_exponent", first))
     probe = virasoro.ode_residual("G", min(n, 32), rhs_coefficient=Fraction(1, 360))

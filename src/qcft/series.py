@@ -3,14 +3,15 @@
 A series is q^a * (c_0 + c_1 q + ... + c_{N-1} q^{N-1}) with a rational and
 all c_n rational.  The prefactor exponent a carries objects like eta =
 q^{1/24} * prod (1 - q^n) exactly; the integer-indexed part keeps the Cauchy
-product simple.  Every ring operation computes on the int pair (a, d) with
-c_n = a_n / d (numerators(): cleared once per series, on first use) and returns
-through one constructor, from_ints, which reduces the result's pair once and
-builds its Fraction coefficients from it in one pass; the pair it keeps is the
-one numerators() would compute.  The exact constructors that start from int
-coefficients (eta, E2 and E4, the Rogers-Ramanujan products, the (2,5)
-characters, the oscillator series) build through it too.  No floating point
-enters anywhere in this module: rat rejects a float.
+product simple.  A series stores its coefficients once, as the reduced int pair
+(a, d) of numerators(): c_n = a_n / d, d > 0, gcd(d, *a) = 1.  Every series is
+built by from_ints, the one reduction: the ring operations, which compute on the
+pair; the exact constructors that start from ints (eta, E2 and E4, the
+Rogers-Ramanujan products, the (2,5) characters, the oscillator series); and
+FracQSeries(prefactor, rationals), over the lcm of their denominators.  coeffs is
+a view, the Fraction tuple built from the pair on its first read and kept.  Every
+order-taking entry point accepts 1 <= order <= MAX_ORDER (check_order).  No
+floating point enters anywhere in this module: rat rejects a float.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ MAX_ORDER = 4096
 
 RationalLike = Union[Fraction, int, str]
 
-#: Fraction(x) for every int x in [-SMALL, SMALL]: the views from_ints builds share
-#: them (a Fraction is immutable), which saves a Fraction(x) call per small coefficient.
-SMALL = 256
-_SMALL_FRACTIONS = tuple(Fraction(x) for x in range(-SMALL, SMALL + 1))
-
 
 def rat(x: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to Fraction; a float is a TypeError,
@@ -49,9 +45,12 @@ def rat(x: RationalLike) -> Fraction:
 
 
 def check_order(order: int) -> int:
-    """order itself if it is at most MAX_ORDER, else OrderTooLarge; every order-taking
-    entry point calls it before it allocates anything of that size."""
-    if not order <= MAX_ORDER:
+    """order itself if 1 <= order <= MAX_ORDER: ValueError below 1, OrderTooLarge above
+    MAX_ORDER.  Every order-taking entry point calls it before it allocates anything
+    of that size."""
+    if order < 1:
+        raise ValueError(f"order {order} < 1")
+    if order > MAX_ORDER:
         raise OrderTooLarge(f"order {order} exceeds MAX_ORDER = {MAX_ORDER}")
     return order
 
@@ -64,22 +63,20 @@ def rat_str(x: Fraction) -> str:
 class FracQSeries:
     """Immutable truncated power series q^prefactor * sum coeffs[n] q^n."""
 
-    # _numerators: the reduced int pair, kept by from_ints or filled by numerators()
-    # on first use; == and hash ignore it
-    __slots__ = ("prefactor", "coeffs", "order", "_numerators")
+    # _pair: the reduced int pair (a, d), the one stored form of the coefficients;
+    # _coeffs: the Fraction view, set on the first read of coeffs; == and hash ignore it
+    __slots__ = ("prefactor", "order", "_pair", "_coeffs")
 
-    def __init__(self, prefactor: RationalLike, coeffs: Iterable[RationalLike]):
-        object.__setattr__(self, "prefactor", rat(prefactor))
-        object.__setattr__(self, "coeffs", tuple(rat(c) for c in coeffs))
-        object.__setattr__(self, "order", len(self.coeffs))
-        if self.order < 1:
-            raise ValueError("a series must store at least one coefficient")
+    def __new__(cls, prefactor: RationalLike, coeffs: Iterable[RationalLike]) -> "FracQSeries":
+        cs = [rat(c) for c in coeffs]
+        d = lcm(*(c.denominator for c in cs))
+        return cls.from_ints(prefactor, [c.numerator * (d // c.denominator) for c in cs], d)
 
     def __setattr__(self, name, value):
         raise AttributeError("FracQSeries is immutable")
 
-    def __reduce__(self):   # copies and pickles rebuild through __init__, without the memo
-        return FracQSeries, (self.prefactor, self.coeffs)
+    def __reduce__(self):   # copies and pickles rebuild from the pair, without the view
+        return FracQSeries.from_ints, (self.prefactor, *self._pair)
 
     # -- constructors --------------------------------------------------------
 
@@ -96,9 +93,9 @@ class FracQSeries:
     def from_coeff_list(cls, coeffs: Sequence[RationalLike], order: int | None = None,
                         prefactor: RationalLike = 0) -> "FracQSeries":
         """Pad or truncate an explicit coefficient list to the given order."""
-        cs = [rat(c) for c in coeffs]
+        cs = list(coeffs)
         if order is not None:
-            cs = (cs + [Fraction(0)] * check_order(order))[:order]
+            cs = (cs + [0] * check_order(order))[:order]
         return cls(prefactor, cs)
 
     # -- basics ----------------------------------------------------------------
@@ -106,10 +103,10 @@ class FracQSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FracQSeries):
             return NotImplemented
-        return (self.prefactor == other.prefactor and self.coeffs == other.coeffs)
+        return self.prefactor == other.prefactor and self._pair == other._pair
 
     def __hash__(self):
-        return hash((self.prefactor, self.coeffs))
+        return hash((self.prefactor, self._pair))
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -119,13 +116,10 @@ class FracQSeries:
     @classmethod
     def from_ints(cls, prefactor: RationalLike, nums: Sequence[int],
                   d: int = 1) -> "FracQSeries":
-        """q^prefactor * sum nums[n]/d q^n for ints nums and d != 0: the pair is reduced
-        once (d > 0, gcd(d, *nums) = 1), kept as the numerators() memo, and the
-        Fraction coefficients are built from it in one pass: Fraction(x) (shared for
-        |x| <= SMALL) when d == 1, else Fraction(x, d)."""
+        """q^prefactor * sum nums[n]/d q^n for ints nums and d != 0: the one reduction of
+        a pair (d > 0, gcd(d, *nums) = 1), whose result is the series."""
         if not nums or d == 0:
             raise ValueError("a series needs at least one coefficient and a nonzero d")
-        prefactor = rat(prefactor)
         g = gcd(d, *nums)
         if d < 0:
             g = -g
@@ -133,28 +127,30 @@ class FracQSeries:
             nums = [x // g for x in nums]
             d //= g
         self = object.__new__(cls)
-        object.__setattr__(self, "prefactor", prefactor)
-        object.__setattr__(self, "coeffs", tuple(
-            [_SMALL_FRACTIONS[x + SMALL] if -SMALL <= x <= SMALL else Fraction(x) for x in nums]
-            if d == 1 else [Fraction(x, d) for x in nums]))
+        object.__setattr__(self, "prefactor", rat(prefactor))
         object.__setattr__(self, "order", len(nums))
-        object.__setattr__(self, "_numerators", (tuple(nums), d))
+        object.__setattr__(self, "_pair", (tuple(nums), d))
         return self
 
-    def numerators(self) -> tuple[tuple[int, ...], int]:
-        """(a, d) over ints with coeffs[n] = a[n] / d and d the lcm of the denominators:
-        kept by every operation's result, else computed on the first call; the same
-        pair afterwards."""
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """(a[n] / d for n < order) as Fractions: built from the pair on the first read
+        and kept."""
         try:
-            return self._numerators
+            return self._coeffs
         except AttributeError:
-            d = lcm(*(c.denominator for c in self.coeffs))
-            pair = tuple(c.numerator * (d // c.denominator) for c in self.coeffs), d
-            object.__setattr__(self, "_numerators", pair)
-            return pair
+            a, d = self._pair
+            view = tuple(Fraction(x, d) for x in a)
+            object.__setattr__(self, "_coeffs", view)
+            return view
+
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """The reduced pair (a, d) with coeffs[n] = a[n] / d and d the lcm of the
+        denominators: the same object on every call."""
+        return self._pair
 
     def is_zero(self) -> bool:
-        return not any(self.numerators()[0])
+        return not any(self._pair[0])
 
     # -- ring operations -------------------------------------------------------
 

@@ -46,8 +46,6 @@ def euler_product(exponents: Iterable[int], sign: int, invert: bool,
     (1 + s q^e) runs from the top index down, so every term is used once;
     1 / (1 + s q^e) is the coin-change update g_n = f_n - s g_(n-e), bottom up.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     coeffs = [1] + [0] * (check_order(order) - 1)
     for e in exponents:
         if e < 1:

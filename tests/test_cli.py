@@ -1,6 +1,7 @@
 """Configuration precedence, report serialization, golden files, and CLI
 exit codes.  CLI calls run in-process through main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +20,8 @@ from qcft.reports import CheckReport, compare_golden, reports_to_bytes, write_go
 from qcft.series import MAX_ORDER, FracQSeries
 
 GOLDEN_EXACT = Path(__file__).parent / "data" / "golden_exact.json"
+# sha256 of golden_exact.json as pinned before the rr.partition_oracle records: 42 records
+GOLDEN_EXACT_BEFORE_ORACLE = "c7ec078af139a1fd923e4d3158ec03a1d64ea8e0ecaaeb28b0ee110995a7bbb2"
 ORDER_ARGS = ["--order", "40"]
 
 
@@ -134,13 +137,17 @@ def test_golden_exact_is_strict(tmp_path):
 
 
 def test_exact_report_matches_pinned_golden():
-    # the exact-only report holds only rationals, so its bytes are the same on any machine;
-    # the additive rr.partition_oracle records are checked apart, every other record of the
-    # pinned file must be present and unchanged
+    # the exact-only report holds only rationals, so its bytes are the same on any machine
     reports = run_all(RunConfig(exact_only=True))
+    assert reports_to_bytes(reports) == GOLDEN_EXACT.read_bytes()
+    assert main(["all", "--exact-only", "--golden", str(GOLDEN_EXACT)]) == 0
+    # the file only gained the four additive rr.partition_oracle records: without them it
+    # is the file pinned before they existed, byte for byte
+    stored = json.loads(GOLDEN_EXACT.read_text())
+    rest = [r for r in stored if r["name"] != "rr.partition_oracle"]
+    rest_bytes = (json.dumps(rest, sort_keys=True, indent=1) + "\n").encode()
+    assert hashlib.sha256(rest_bytes).hexdigest() == GOLDEN_EXACT_BEFORE_ORACLE
     oracle = [r for r in reports if r.name == "rr.partition_oracle"]
-    rest = [r for r in reports if r.name != "rr.partition_oracle"]
-    assert reports_to_bytes(rest) == GOLDEN_EXACT.read_bytes()
     assert len(oracle) == 4
     assert {(r.params["which"], r.params["rule"]) for r in oracle} == {
         (w, rule) for w in "GH" for rule in ("gap", "congruence")}

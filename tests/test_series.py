@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcft.errors import NonAlignablePrefactor, OrderTooLarge, ZeroLeadingCoefficient
+from qcft.partitions import unrestricted_p
 from qcft.series import MAX_ORDER, FracQSeries, check_order, rat
+from qcft.special import dedekind_eta, eisenstein
+from qcft.virasoro import ode_residual
 
 
 def poly(*coeffs, prefactor=0, order=None):
@@ -180,14 +183,14 @@ def test_invert_matches_fraction_recurrence(f):
     assert list(inv.coeffs) == fraction_inverse(f.coeffs)
 
 
-# -- the memoized numerators ---------------------------------------------------------
+# -- the int pair and the Fraction view ------------------------------------------------
 
 def test_numerators_reproduce_coeffs_and_are_memoized():
     f = poly(F(1, 2), F(-3, 4), 5, F(7, 60), prefactor=F(-1, 60))
     pair = f.numerators()
     a, d = pair
     assert isinstance(a, tuple) and d == 60
-    assert tuple(F(n, d) for n in a) == f.coeffs
+    assert tuple(F(n, d) for n in a) == f.coeffs == (F(1, 2), F(-3, 4), F(5), F(7, 60))
     assert f.numerators() is pair
 
 
@@ -212,16 +215,20 @@ def test_from_ints_takes_ints_only(nums):
 
 
 def test_numerators_memo_keeps_the_series_immutable():
-    f = poly(1, F(1, 3))
-    f.numerators()
-    for name in ("prefactor", "coeffs", "order", "_numerators", "other"):
+    f = poly(1, F(1, 3)) * poly(F(-2, 5), 3)
+    assert not hasattr(f, "_coeffs")   # an operation's result has no view until it is read
+    view = f.coeffs
+    a, d = f.numerators()
+    assert view == tuple(F(x, d) for x in a) and f.coeffs is view and f._coeffs is view
+    for name in ("prefactor", "coeffs", "order", "_pair", "_coeffs", "other"):
         with pytest.raises(AttributeError):
             setattr(f, name, None)
+    assert f.coeffs is view and f.numerators() == (a, d)
 
 
 def test_equality_and_hash_ignore_the_memo():
     f, g = poly(F(2, 3), 1, prefactor=F(1, 5)), poly(F(2, 3), 1, prefactor=F(1, 5))
-    f.numerators()
+    f.coeffs
     assert f == g and hash(f) == hash(g)
     assert f.to_record() == g.to_record()
 
@@ -237,7 +244,7 @@ def test_mul_and_invert_with_memo_past_the_shorter_order(f, g, tail, warm):
     # so the common denominator of g's memo exceeds that of the product's terms
     g = FracQSeries(g.prefactor, list(g.coeffs) + tail)
     if warm:
-        f.numerators(), g.numerators()
+        f.coeffs, g.coeffs
     assert list((f * g).coeffs) == fraction_product(f.coeffs, g.coeffs)
     assert list((g * f).coeffs) == fraction_product(g.coeffs, f.coeffs)
     assert list(g.invert().coeffs) == fraction_inverse(g.coeffs)
@@ -254,11 +261,11 @@ def test_serialization_roundtrip_and_stability():
 def test_copy_and_pickle_rebuild_the_series(warm):
     f = poly(F(2, 3), -1, F(5, 7), prefactor=F(-1, 60))
     if warm:
-        f.numerators()
+        f.coeffs
     for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert g == f and hash(g) == hash(f)
-        assert not hasattr(g, "_numerators")   # rebuilt, not carried over
-        assert g.numerators() == f.numerators()
+        assert not hasattr(g, "_coeffs")   # the view is rebuilt on read, not carried over
+        assert g.numerators() == f.numerators() and g.coeffs == f.coeffs
         with pytest.raises(AttributeError):
             g.order = 1
 
@@ -300,7 +307,7 @@ def alignable_pairs(draw):
 def test_add_and_sub_match_fraction_sums(pair, warm):
     f, g = pair
     if warm:
-        f.numerators(), g.numerators()
+        f.coeffs, g.coeffs
     for h, sign in ((f + g, 1), (f - g, -1), (g - f, None)):
         lo, want = fraction_sum(g, f, -1) if sign is None else fraction_sum(f, g, sign)
         assert h.prefactor == lo and list(h.coeffs) == want
@@ -365,28 +372,47 @@ GUARD_OPS = {
 }
 
 
-@pytest.mark.parametrize("op", sorted(GUARD_OPS))
-def test_fraction_arithmetic_does_not_grow_with_the_order(op, monkeypatch):
-    """Each operation runs over ints: the Fraction arithmetic it does (on the prefactor
-    alone) is the same at order 16 and at order 64."""
+def fraction_calls(monkeypatch, run, orders):
+    """{n: {name: calls}} of Fraction constructions (__new__) and arithmetic during
+    run(n), for each order n; run(n) is given its inputs before counting starts."""
     calls = Counter()
 
     def counted(name, original):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
         return wrapper
 
-    inputs = {n: (guard_series(n, F(-7, 60)), guard_series(n, F(53, 60))) for n in (16, 64)}
-    for name in FRACTION_ARITHMETIC:
+    thunks = {n: run(n) for n in orders}
+    for name in FRACTION_ARITHMETIC + ("__new__",):
         monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
     counts = {}
-    for n, (f, g) in inputs.items():
+    for n, thunk in thunks.items():
         calls.clear()
-        GUARD_OPS[op](f, g)
+        thunk()
         counts[n] = dict(calls)
+    return counts
+
+
+@pytest.mark.parametrize("op", sorted(GUARD_OPS))
+def test_fraction_arithmetic_does_not_grow_with_the_order(op, monkeypatch):
+    """Each operation runs over ints: the Fraction arithmetic it does (on the prefactor
+    alone) is the same at order 16 and at order 64, and so is the number of Fractions
+    it builds, since a result's coefficients are built only when coeffs is read."""
+    def run(n):
+        f, g = guard_series(n, F(-7, 60)), guard_series(n, F(53, 60))
+        return lambda: GUARD_OPS[op](f, g)
+
+    counts = fraction_calls(monkeypatch, run, (16, 64))
+    built = {n: c.pop("__new__", 0) for n, c in counts.items()}
+    assert built[16] == built[64]
     assert counts[16] == counts[64]
     assert sum(counts[64].values()) <= 2
+
+
+def test_ode_residual_builds_as_many_fractions_at_any_order(monkeypatch):
+    counts = fraction_calls(monkeypatch, lambda n: lambda: ode_residual("G", n), (51, 201))
+    assert counts[51]["__new__"] == counts[201]["__new__"]
 
 
 # -- floats and orders ----------------------------------------------------------------
@@ -411,15 +437,31 @@ def test_rat_keeps_exact_inputs():
     assert rat("0.1") == F(1, 10) and rat(True) == 1
 
 
-@pytest.mark.parametrize("call", [
-    lambda: check_order(MAX_ORDER + 1),
-    lambda: FracQSeries.one(MAX_ORDER + 1),
-    lambda: FracQSeries.monomial(F(1, 24), MAX_ORDER + 1),
-    lambda: FracQSeries.from_coeff_list([1], order=MAX_ORDER + 1),
-], ids=["check_order", "one", "monomial", "from_coeff_list"])
-def test_orders_above_max_order_raise(call):
-    with pytest.raises(OrderTooLarge, match=f"MAX_ORDER = {MAX_ORDER}"):
-        call()
+ORDER_ENTRIES = {
+    "check_order": check_order,
+    "one": FracQSeries.one,
+    "monomial": lambda n: FracQSeries.monomial(F(1, 24), n),
+    "from_coeff_list": lambda n: FracQSeries.from_coeff_list([1, 2, 3], order=n),
+    "eisenstein 2": lambda n: eisenstein(2, n),
+    "eisenstein 4": lambda n: eisenstein(4, n),
+    "dedekind_eta": dedekind_eta,
+    "unrestricted_p": lambda n: unrestricted_p(n - 1),   # n counts, p(0) to p(n - 1)
+}
+ORDER_CASES = ([(name, MAX_ORDER + 1) for name in list(ORDER_ENTRIES)[:4]]
+               + [(name, n) for name in ORDER_ENTRIES for n in (0, -1)])
+
+
+@pytest.mark.parametrize("name,order", ORDER_CASES,
+                         ids=[name if n > 0 else f"{name} {n}" for name, n in ORDER_CASES])
+def test_orders_above_max_order_raise(name, order):
+    """check_order's rule, 1 <= order <= MAX_ORDER, holds at each entry point: ValueError
+    below 1 (nothing is padded, cut or defaulted) and OrderTooLarge above MAX_ORDER."""
+    if order > MAX_ORDER:
+        with pytest.raises(OrderTooLarge, match=f"MAX_ORDER = {MAX_ORDER}"):
+            ORDER_ENTRIES[name](order)
+    else:
+        with pytest.raises(ValueError, match=f"order {order} < 1"):
+            ORDER_ENTRIES[name](order)
 
 
 def test_max_order_itself_is_accepted():
