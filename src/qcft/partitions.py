@@ -3,7 +3,12 @@
 The library counts by two iterative dynamic programs, run alone by
 count_partitions: a table over the smallest allowed part for the gap and
 congruence rules, and a multiplicity DP over part values for the window rule,
-whose state stops at n_max copies of a value however large the window.  One
+whose state stops at n_max copies of a value however large the window.  Both
+keep each row of counts for n = 0..n_max as one packed int, a fixed-width slot
+per n, so a step is a few whole-row shifts and adds.  Every slot holds a count
+of partitions of some n <= n_max, at most p(n) < exp(pi sqrt(2n/3)) (Apostol,
+Introduction to Analytic Number Theory, Thm 14.5), and _slot_bits leaves two
+bits above that bound, so no slot carries into or borrows from the next.  One
 backtracking enumerator applies the raw definition to explicit part lists and
 counts each one, a leaf without a call of its own; it is the oracle, which the
 rr.partition_oracle records compare with the DP to n = 60.  Two independent
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import add
+from math import ceil, log, pi, sqrt
 
 from .errors import ConflictingConstraint
 from .reports import CheckReport
@@ -22,7 +27,7 @@ from .series import check_order
 
 ENUMERATION_LIMIT = 60
 #: Largest n_max gordon_check accepts: one call with k = 4 at this bound takes
-#: about 0.25 s (CPython 3.11, 2-core x86-64 VM), against a budget of 1 s.
+#: about 0.03 s (CPython 3.11, 2-core x86-64 VM), against a budget of 1 s.
 GORDON_LIMIT = 1000
 
 
@@ -147,30 +152,59 @@ def _enumerate_counts(n_max: int, c: PartitionConstraint) -> list[int]:
     return counts
 
 
+def _slot_bits(n_max: int) -> int:
+    """Bits per slot of a packed row for counts of n <= n_max: two more than
+    log2 exp(pi sqrt(2 n_max / 3)), the bound on p(n) for every n <= n_max, rounded
+    up to whole bytes."""
+    return -(-(ceil(pi * sqrt(2 * n_max / 3) / log(2)) + 2) // 8) * 8
+
+
+def _unpack(row: int, n_max: int, w: int) -> list[int]:
+    """The counts of slots 0..n_max of a packed row with w-bit slots."""
+    b = w // 8
+    data = row.to_bytes(b * (n_max + 1), "little")
+    return [int.from_bytes(data[i:i + b], "little") for i in range(0, len(data), b)]
+
+
 def _dp_counts(n_max: int, c: PartitionConstraint) -> list[int]:
     """The same counts by a bottom-up table over the smallest allowed part.
 
     Row s counts partitions whose parts are all >= s.  Either s is not used
     (row s + 1), or s is the smallest part and the rest lie in row s + gap;
-    with no gap rule s repeats, so the rest lie in row s itself.
+    with no gap rule s repeats, so row s is row s + 1 times 1/(1 - q^s) =
+    (1 + q^s)(1 + q^2s)(1 + q^4s)... up to q^n_max, one doubling pass per
+    factor.  A row is one packed int, so each step is a few whole-row shifts and
+    adds, and a slot, a count of partitions of n, never exceeds p(n).
     """
     if c.window is not None:
         return _dp_window(n_max, c)
     gap = c.min_gap
     ones = n_max if c.max_ones is None else c.max_ones
-    # ahead[j] is row s + 1 + j; the empty partition is the only one above n_max
-    ahead = deque([[1] + [0] * n_max] * max(gap, 1), maxlen=max(gap, 1))
+    w = _slot_bits(n_max)
+    row = 1   # row s + 1; above n_max only the empty partition
+    if not gap:
+        mask = (1 << w * (n_max + 1)) - 1
+        for s in range(n_max, c.min_part - 1, -1):
+            if c.part_allowed(s) and not (s == 1 and ones == 0):
+                t = s
+                while t <= n_max:
+                    row += (row << w * t) & mask
+                    t *= 2
+                if s == 1:
+                    # drop the partitions with more than `ones` parts equal to 1
+                    row -= (row << w * (ones + 1)) & mask
+        return _unpack(row, n_max, w)
+    # Row r = 1 + q^r T_r is read as the rest only at step r - gap, and there only up
+    # to q^n_max, so ahead keeps just the low n_max + 1 + gap - 2r slots of T_r, or 0
+    # when that step is below min_part or no slot is left; ahead[j] is kept of row s + 1 + j
+    ahead = deque([0] * gap, maxlen=gap)
     for s in range(n_max, c.min_part - 1, -1):
-        row = list(ahead[0])
         if c.part_allowed(s) and not (s == 1 and ones == 0):
-            rest = ahead[-1] if gap else row
-            for n in range(s, n_max + 1):
-                row[n] += rest[n - s]
-            if s == 1 and not gap:
-                # drop the partitions with more than `ones` parts equal to 1
-                row = [v - (row[n - ones - 1] if n > ones else 0) for n, v in enumerate(row)]
-        ahead.appendleft(row)
-    return ahead[0]
+            row += (1 << w * s) + (ahead[-1] << w * (2 * s + gap))
+        kept = n_max + 1 + gap - 2 * s
+        ahead.appendleft((row >> w * s) & ((1 << w * kept) - 1)
+                         if kept > 0 and s - gap >= c.min_part else 0)
+    return _unpack(row, n_max, w)
 
 
 def _dp_window(n_max: int, c: PartitionConstraint) -> list[int]:
@@ -178,32 +212,28 @@ def _dp_window(n_max: int, c: PartitionConstraint) -> list[int]:
 
     b_j - b_{j+k-1} >= 2 is equivalent to f_v + f_{v+1} <= k - 1 for the
     multiplicities f_v of each value v.  Values are taken in increasing
-    order; the state is (multiplicity of the previous value, total).  No
-    value fits more than n_max times, so the layers stop at min(k - 1, n_max)
-    and the cost does not grow with k.
+    order; the state is (multiplicity of the previous value, total), one
+    packed row per multiplicity as in _dp_counts, so f copies of v are one
+    shift by f v slots.  No value fits more than n_max times, so the layers
+    stop at min(k - 1, n_max) and the cost does not grow with k.
     """
     room = c.window[0] - 1   # f_v + f_{v+1} <= room
     top = min(room, n_max)
-    zero = [0] * (n_max + 1)
-    # layer[f][t]: multiplicities of the values so far, f copies of the last one, sum t
-    layer = [[1] + [0] * n_max] + [zero] * top
+    w = _slot_bits(n_max)
+    mask = (1 << w * (n_max + 1)) - 1
+    # layer[f]: multiplicities of the values so far, f copies of the last one, by total
+    layer = [1] + [0] * top
     for v in range(c.min_part, n_max + 1):
         cap = min(top, n_max // v) if c.part_allowed(v) else 0
         if v == 1 and c.max_ones is not None:
             cap = min(cap, c.max_ones)
-        # below[j] sums the layers with f <= j copies of v - 1 (all of them for j >= top);
-        # a zero layer, a multiplicity v - 1 could not take, leaves the sum as it is
+        # below[j] sums the layers with f <= j copies of v - 1 (all of them for j >= top)
         below = [layer[0]]
         for f in range(1, top + 1):
-            below.append(below[-1] if layer[f] is zero else list(map(add, below[-1], layer[f])))
-        layer = [below[top]]
-        for f in range(1, top + 1):
-            if f > cap:
-                layer.append(zero)
-            else:
-                shift = f * v
-                layer.append([0] * shift + below[min(room - f, top)][:n_max + 1 - shift])
-    return [sum(column) for column in zip(*layer)]
+            below.append(below[-1] + layer[f] if layer[f] else below[-1])
+        layer = [below[top]] + [(below[min(room - f, top)] << w * f * v) & mask
+                                for f in range(1, cap + 1)] + [0] * (top - cap)
+    return _unpack(sum(layer), n_max, w)
 
 
 def count_partitions(n_max: int, c: PartitionConstraint) -> CountTable:

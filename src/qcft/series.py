@@ -27,8 +27,8 @@ from .errors import NonAlignablePrefactor, OrderTooLarge, ZeroLeadingCoefficient
 DEFAULT_ORDER = 201
 
 #: Largest order an order-taking entry point accepts.  The exact layer costs about
-#: order^2: at 4096, `qcft all --order 4096` takes about 10 s and ode_residual alone
-#: 2.6 s (CPython 3.11, 2-core x86-64 VM), against 1.4 s and 0.3 s at 1601.
+#: order^2: at 4096, `qcft all --order 4096` takes about 7.4 s and ode_residual alone
+#: 2.2 s (CPython 3.11, 2-core x86-64 VM), against 1.3 s and 0.33 s at 1601.
 MAX_ORDER = 4096
 
 RationalLike = Union[Fraction, int, str]
@@ -109,7 +109,8 @@ class FracQSeries:
         return hash((self.prefactor, self._pair))
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:6])
+        a, d = self._pair   # the head alone, without building the coeffs view
+        head = ", ".join(str(Fraction(x, d)) for x in a[:6])
         tail = ", ..." if self.order > 6 else ""
         return f"FracQSeries(q^{self.prefactor} * [{head}{tail}], order={self.order})"
 

@@ -2,10 +2,12 @@
 cross-checks are explicit here: frozen values, the unrestricted DP against the
 pentagonal recurrence and the product expansion to n = 100, both Andrews-Gordon
 sides against the backtracking enumerator, a property test of the enumerator
-and the DPs."""
+and the DPs, and the packed-row DPs against reference loop DPs."""
 
 import tracemalloc
+from collections import deque
 from functools import cache
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from qcft import partitions, special
 from qcft.errors import ConflictingConstraint
 from qcft.partitions import (ENUMERATION_LIMIT, GORDON_LIMIT, PartitionConstraint,
                              _dp_counts, _dp_window, _enumerate_counts, _gordon_constraints,
-                             count_partitions, gordon_check, unrestricted_p)
+                             _slot_bits, count_partitions, gordon_check, unrestricted_p)
+from qcft.series import MAX_ORDER
 
 GORDON_SHAPES = [(k, i) for k in (2, 3, 4) for i in range(1, k + 1)]
 # the four constraints the rr report counts with: G and H, gap and congruence
@@ -135,7 +138,7 @@ def test_oracle_never_counts_by_a_dp(monkeypatch):
     def refuse(*args):
         raise AssertionError("the enumerator entered a DP or a product expansion")
 
-    for name in ("_dp_counts", "_dp_window", "count_partitions"):
+    for name in ("_dp_counts", "_dp_window", "_slot_bits", "_unpack", "count_partitions"):
         monkeypatch.setattr(partitions, name, refuse)
     monkeypatch.setattr(special, "euler_product", refuse)
     oracle = [_enumerate_counts(ENUMERATION_LIMIT, c) for c in REPORT_CONSTRAINTS]
@@ -249,3 +252,103 @@ def test_enumerator_and_dp_match_definition(c):
     brute = [sum(1 for p in all_partitions(n) if c.parts_valid(p)) for n in range(25)]
     assert _enumerate_counts(24, c) == brute
     assert _dp_counts(40, c) == _enumerate_counts(40, c)
+
+
+# -- packed rows: against the plain loop DPs, at the slot bound, and in memory ----------
+
+def loop_dp_counts(n_max, c):
+    """The table over the smallest allowed part, one Python add per count."""
+    if c.window is not None:
+        return loop_dp_window(n_max, c)
+    gap = c.min_gap
+    ones = n_max if c.max_ones is None else c.max_ones
+    ahead = deque([[1] + [0] * n_max] * max(gap, 1), maxlen=max(gap, 1))
+    for s in range(n_max, c.min_part - 1, -1):
+        row = list(ahead[0])
+        if c.part_allowed(s) and not (s == 1 and ones == 0):
+            rest = ahead[-1] if gap else row
+            for n in range(s, n_max + 1):
+                row[n] += rest[n - s]
+            if s == 1 and not gap:
+                row = [v - (row[n - ones - 1] if n > ones else 0) for n, v in enumerate(row)]
+        ahead.appendleft(row)
+    return ahead[0]
+
+
+def loop_dp_window(n_max, c):
+    """The multiplicity DP for the window rule, one list per multiplicity."""
+    room = c.window[0] - 1
+    top = min(room, n_max)
+    zero = [0] * (n_max + 1)
+    layer = [[1] + [0] * n_max] + [zero] * top
+    for v in range(c.min_part, n_max + 1):
+        cap = min(top, n_max // v) if c.part_allowed(v) else 0
+        if v == 1 and c.max_ones is not None:
+            cap = min(cap, c.max_ones)
+        below = [layer[0]]
+        for f in range(1, top + 1):
+            below.append(below[-1] if layer[f] is zero else list(map(add, below[-1], layer[f])))
+        layer = [below[top]]
+        for f in range(1, top + 1):
+            if f > cap:
+                layer.append(zero)
+            else:
+                shift = f * v
+                layer.append([0] * shift + below[min(room - f, top)][:n_max + 1 - shift])
+    return [sum(column) for column in zip(*layer)]
+
+
+PACKED_SHAPES = (
+    [PartitionConstraint(min_part=m, min_gap=g) for g in (1, 2, 3) for m in (1, 2)]
+    + [PartitionConstraint(allowed_residues=frozenset(r), modulus=m, max_ones=ones)
+       for r, m in (({1, 4}, 5), ({2, 5}, 7)) for ones in (None, 3)]
+    + [PartitionConstraint(window=(k, 2), **extra) for k in (2, 3, 4)
+       for extra in ({}, {"max_ones": 1}, {"min_part": 2})]
+)
+
+
+@pytest.mark.parametrize("c", PACKED_SHAPES, ids=repr)
+def test_packed_rows_match_the_loop_dps(c):
+    assert _dp_counts(600, c) == loop_dp_counts(600, c)
+
+
+@pytest.fixture(scope="module")
+def p_to_max_order():
+    # the pentagonal recurrence, which shares no code with the DPs
+    return unrestricted_p(MAX_ORDER - 1).values
+
+
+def test_packed_rows_hold_p_at_the_largest_order(p_to_max_order):
+    # the tightest case of the slot bound: every slot near p(n_max) itself
+    assert count_partitions(MAX_ORDER - 1, PartitionConstraint()).values == p_to_max_order
+
+
+def test_slot_width_exceeds_p(p_to_max_order):
+    # a slot must hold p(n) with a bit to spare, so a sum of two counts never carries
+    assert all(_slot_bits(n) > p.bit_length() + 1 for n, p in enumerate(p_to_max_order))
+
+
+def at_most_three_parts(n, gap):
+    """Partitions of n with consecutive parts gap or more apart, for n < 6 gap + 4 (no
+    room for four parts): taking gap (k - 1 - j) from the j-th of k parts leaves a
+    partition of n - gap k(k - 1)/2 into exactly k parts, of which there are 1, m // 2
+    and round(m^2 / 12) for k = 1, 2, 3 and m >= 1; n = 0 has the empty partition."""
+    assert n < 6 * gap + 4
+    m = [n, n - gap, n - 3 * gap]
+    return 1 + max(m[1], 0) // 2 + (max(m[2], 0) ** 2 + 6) // 12
+
+
+@pytest.mark.parametrize("gap,limit", [(4095, 1_000_000), (1000, 72_000_000)])
+def test_gap_dp_keeps_only_the_slots_it_reads(gap, limit):
+    # A row r is read at step r - gap alone, up to q^n_max, so only its slots
+    # r..n_max + gap - r are kept.  At gap 4095 no row is ever read; at gap 1000 the
+    # kept rows peak at step 1000, about 2.1 million 30-byte slots (63 MB).  Full rows
+    # of n_max + 1 counts, one per gap step, peak at 84 and 134 MB here.
+    tracemalloc.start()
+    try:
+        table = count_partitions(4095, PartitionConstraint(min_gap=gap))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+    assert table.values == [at_most_three_parts(n, gap) for n in range(4096)]

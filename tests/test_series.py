@@ -194,6 +194,14 @@ def test_numerators_reproduce_coeffs_and_are_memoized():
     assert f.numerators() is pair
 
 
+def test_repr_builds_only_the_head(monkeypatch):
+    f = FracQSeries.from_ints("-1/60", [n * n - 7 for n in range(MAX_ORDER)], 6)
+    counts = fraction_calls(monkeypatch, lambda n: lambda: repr(f), (MAX_ORDER,))
+    assert counts[MAX_ORDER].get("__new__", 0) <= 6
+    assert not hasattr(f, "_coeffs")   # no view left behind
+    assert repr(f) == "FracQSeries(q^-1/60 * [-7/6, -1, -1/2, 1/3, 3/2, 3, ...], order=4096)"
+
+
 def test_from_ints_reduces_its_pair_once():
     f = FracQSeries.from_ints("-1/60", [6, -9, 0, 12], -6)
     assert f.prefactor == F(-1, 60) and type(f.prefactor) is F
