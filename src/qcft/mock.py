@@ -10,16 +10,27 @@ Every value comes from one numpy kernel that evaluates a whole array of tau
 at fixed z (numpy is imported inside it, so `import qcft` does not load it):
 special.theta_table gives theta_1..theta_4 and mu's numerators, always with the
 power-2 cutoff of special.adaptive_cutoff at the smallest Im tau.  A _Table holds
-one theta_table((z, 0), taus), its thetas, and on first use the elliptic genus and
-mu(z, z); its remainder() is the one remainder formula, for the extraction's rows
-and for one point alike.  Every one-point entry folds Re tau into [-12, 12]
-(special.fold_tau) and reads the one-element _Table of (z, folded tau) from a cache
-of the last POINT_CACHE_SIZE points, so jacobi_theta, elliptic_genus_k3, the
-diagonal appell_lerch_mu and mock_remainder of one point share one table, one
-elliptic genus and one mu; only an off-diagonal mu builds a table of its own.  The
-cached arrays are read-only.  An entry's table is about 1 MB at MAX_CUTOFF, so the
-cache keeps at most about POINT_CACHE_SIZE MB.  mock_remainder computes its own
-one-element eta^3: eta_eval's scalar path may differ from it in the last bit.
+theta_1..theta_4 at z and at 0, z's exponent table, and on first use the elliptic
+genus and mu(z, z); its remainder() is the one remainder formula, for the
+extraction's rows and for one point alike.
+
+The extraction is a sampler and a reader.  sample_mock_rows(y0, z_list, grid, kappa)
+samples q^{1/8} * remainder at tau = k / grid + i*y0 with one theta_table at z = 0
+and one eta^3 for every row and one theta_table((z,), taus) per z;
+read_mock_coefficients checks z-independence across the rows, Fourier-transforms
+them and rounds.  Each step is elementwise in tau and the cutoffs depend only on
+y0, so the rows at grid // s are the stride rows[:, ::s], bit for bit:
+checks.check_mock samples each height once at grid 256 and reads grid 128 as
+rows[:, ::2].  extract_mock_coefficients is the two in a row.
+
+Every one-point entry folds Re tau into [-12, 12] (special.fold_tau) and reads the
+one-element _Table of one theta_table((z, 0), folded tau) from a cache of the last
+POINT_CACHE_SIZE points, so jacobi_theta, elliptic_genus_k3, the diagonal
+appell_lerch_mu and mock_remainder of one point share one table, one elliptic genus
+and one mu; only an off-diagonal mu builds a table of its own.  The cached arrays
+are read-only.  An entry's table is about 1 MB at MAX_CUTOFF, so the cache keeps at
+most about POINT_CACHE_SIZE MB.  mock_remainder computes its own one-element eta^3:
+eta_eval's scalar path may differ from it in the last bit.
 """
 
 from __future__ import annotations
@@ -74,13 +85,13 @@ def _theta1_guard(theta1, z) -> None:
         raise ThetaZeroDivision(f"theta_1({z}, tau) ~ 0")
 
 
-def _elliptic_genus(thetas):
-    """8 * sum_{i=2,3,4} (theta_i(z) / theta_i(0))^2 from the kernel's thetas at (z, 0)."""
+def _elliptic_genus(thetas, zero):
+    """8 * sum_{i=2,3,4} (theta_i(z) / theta_i(0))^2 from theta_1..theta_4 at z and at 0."""
     import numpy as np
     for i in (2, 3, 4):
-        if np.any(np.abs(thetas[i - 1][1]) < 1e-300):
+        if np.any(np.abs(zero[i - 1]) < 1e-300):
             raise ThetaConstantVanishes(f"theta_{i}(0, tau) ~ 0")
-    return 8 * sum((thetas[i - 1][0] / thetas[i - 1][1]) ** 2 for i in (2, 3, 4))
+    return 8 * sum((thetas[i - 1] / zero[i - 1]) ** 2 for i in (2, 3, 4))
 
 
 def _mu(u: complex, v: complex, table_v, theta1_v, taus):
@@ -113,33 +124,42 @@ def _mu(u: complex, v: complex, table_v, theta1_v, taus):
 
 
 class _Table:
-    """theta_table((z, 0), taus) at an array of tau, its thetas, and on first use the
-    elliptic genus and mu(z, z) (either can raise, so neither is made before it is read)."""
+    """theta_1..theta_4 at z and at z = 0 over an array of tau, z's exponent table, and
+    on first use the elliptic genus and mu(z, z) (either can raise, so neither is made
+    before it is read).  Alone it builds theta_table((z, 0), taus); given zero, the four
+    rows at 0 of a build that several z share, it builds only theta_table((z,), taus).
+    Each kernel step is elementwise in tau, so both give the same bits."""
 
-    def __init__(self, z: complex, taus):
+    def __init__(self, z: complex, taus, zero=None):
         self.z, self.taus = z, taus
-        table, thetas = theta_table((z, 0), taus)
-        self.table, self.thetas = _read_only(table), tuple(map(_read_only, thetas))
+        table, thetas = theta_table((z, 0) if zero is None else (z,), taus)
+        thetas = tuple(map(_read_only, thetas))
+        self.table, self.thetas = _read_only(table)[0], tuple(t[0] for t in thetas)
+        self.zero = tuple(t[1] for t in thetas) if zero is None else zero
 
     @functools.cached_property
     def eg(self):
-        return _read_only(_elliptic_genus(self.thetas))
+        return _read_only(_elliptic_genus(self.thetas, self.zero))
 
     @functools.cached_property
     def mu(self):
         """mu(z, z), read after _theta1_guard."""
-        return _read_only(_mu(self.z, self.z, self.table[0], self.thetas[0][0], self.taus))
+        return _read_only(_mu(self.z, self.z, self.table, self.thetas[0], self.taus))
 
-    def remainder(self, kappa: complex, z: complex):
-        """elliptic_genus * eta^3 / theta_1^2 - kappa * mu(z, z) at each tau.  The caller's
+    def remainder(self, kappa: complex, z: complex, eta3=None):
+        """elliptic_genus * eta^3 / theta_1^2 - kappa * mu(z, z) at each tau, with the
+        eta^3 that rows sharing one tau array pass, else this table's own.  The caller's
         z names the point in an error: a kept table's z may be 0.0 where the caller's is -0.0."""
-        theta1 = self.thetas[0][0]
+        theta1 = self.thetas[0]
         _theta1_guard(theta1, z)
-        return self.eg * eta_values(self.taus) ** 3 / theta1 ** 2 - kappa * self.mu
+        eg = self.eg
+        if eta3 is None:
+            eta3 = eta_values(self.taus) ** 3
+        return eg * eta3 / theta1 ** 2 - kappa * self.mu
 
 
 def _remainder(z: complex, taus, kappa: complex):
-    """The remainder at each tau of an array: the extraction's rows."""
+    """The remainder at each tau of an array, from one table of its own."""
     return _Table(_check_z(z), taus).remainder(kappa, z)
 
 
@@ -161,7 +181,7 @@ def jacobi_theta(i: int, p: JacobiPoint) -> complex:
     """theta_i(z, tau) by direct series summation, nome q = exp(2*pi*i*tau)."""
     if i not in (1, 2, 3, 4):
         raise ValueError("theta index must be 1..4")
-    return complex(_point_of(p).thetas[i - 1][0, 0])
+    return complex(_point_of(p).thetas[i - 1][0])
 
 
 def elliptic_genus_k3(p: JacobiPoint) -> complex:
@@ -180,7 +200,7 @@ def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
     u = p.z
     if z2 is None or z2 == u:
         point = _point_of(p)
-        _theta1_guard(point.thetas[0][0], u)
+        _theta1_guard(point.thetas[0], u)
         return complex(point.mu[0])
     v, tau = _check_z(z2, p.tau), fold_tau(p.tau)
     table, thetas = theta_table((v,), tau)
@@ -190,13 +210,15 @@ def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
 
 @dataclass(frozen=True)
 class MockCoefficients:
-    """Integer coefficients of q^{-1/8 + n}, with the factored-out scale."""
+    """Integer coefficients of q^{-1/8 + n}, with the factored-out scale.  rounding_margin,
+    the largest |value - round(value)| over the modes, is not part of the record."""
 
     values: tuple[int, ...]
     scale: Fraction
     y0: float
     grid: int
     max_z_deviation: float
+    rounding_margin: float
 
     def to_record(self) -> dict:
         return {
@@ -214,36 +236,71 @@ def mock_remainder(z: complex, tau: complex, kappa: complex = 24) -> complex:
     return complex(_point(_check_z(z, tau), tau).remainder(kappa, z)[0])
 
 
-def extract_mock_coefficients(y0: float = 0.3,
-                              z_list: tuple[complex, ...] = DEFAULT_Z_LIST,
-                              grid: int = 128,
-                              kappa: complex = 24,
-                              n_terms: int = 5,
-                              z_tolerance: float = 1e-6) -> MockCoefficients:
-    """Fourier-extract the integer expansion of the mock-modular remainder.
+# the sampler's time and memory grow as grid: at y0 = 0.15 (the largest cutoff) a grid
+# of MAX_GRID takes about 0.33 s and a 34 MB peak of numpy arrays on a 2-core VM
+MAX_GRID = 2 ** 14
 
-    Samples q^{1/8} * remainder on tau = x + i*y0 over a uniform x-grid,
-    checks z-independence across z_list, undoes the e^{-2 pi n y0} damping
-    per mode, rounds to integers, and factors out the scale making the
-    leading entry -1.
+
+def _is_int(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
+def _check_grid(grid) -> int:
+    """grid itself if it is an int power of two in [64, MAX_GRID], else ValueError."""
+    if not (_is_int(grid) and 64 <= grid <= MAX_GRID and grid & (grid - 1) == 0):
+        raise ValueError(f"grid = {grid!r}: need an int power of two in [64, {MAX_GRID}]")
+    return grid
+
+
+def _check_n_terms(n_terms, grid: int) -> int:
+    """n_terms itself if it is an int in [1, grid // 2], else ValueError: past grid // 2
+    the FFT's modes are the aliases of negative frequencies."""
+    if not (_is_int(n_terms) and 1 <= n_terms <= grid // 2):
+        raise ValueError(f"n_terms = {n_terms!r}: need an int in [1, {grid // 2}] at grid {grid}")
+    return n_terms
+
+
+def sample_mock_rows(y0: float = 0.3,
+                     z_list: tuple[complex, ...] = DEFAULT_Z_LIST,
+                     grid: int = 128,
+                     kappa: complex = 24):
+    """q^{1/8} * remainder at tau = k / grid + i*y0 for k = 0 .. grid - 1: an array with
+    one row per z of z_list.
+
+    One theta_table at z = 0 and one eta^3 serve every row, and each z builds its own
+    theta_table((z,), taus).  k / grid is exact, the cutoffs depend only on y0, and every
+    step is elementwise in tau, so rows[:, ::s] equal, bit for bit, the rows sampled at
+    grid // s.
     """
     import numpy as np
 
     if not (0.15 <= y0 <= 0.5):
         raise ValueError("y0 outside [0.15, 0.5]")
-    if grid < 64 or grid & (grid - 1):
-        raise ValueError("grid must be a power of two >= 64")
+    _check_grid(grid)
     if len(set(z_list)) < 3:
         raise ValueError("need at least 3 distinct z values")
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
     for z in z_list:
         _check_z(z, 1j * y0)
-
     taus = np.arange(grid) / grid + 1j * y0
+    zero = tuple(t[0] for t in theta_table((0,), taus)[1])
+    eta3 = eta_values(taus) ** 3
     q_eighth = np.exp(2j * np.pi * taus / 8)
-    rows = [q_eighth * _remainder(z, taus, kappa) for z in z_list]
+    return np.array([q_eighth * _Table(z, taus, zero).remainder(kappa, z, eta3)
+                     for z in z_list])
 
+
+def read_mock_coefficients(rows, y0: float, n_terms: int = 5, kappa: complex = 24,
+                           z_tolerance: float = 1e-6) -> MockCoefficients:
+    """The coefficients from the rows of sample_mock_rows at y0, or a stride of them.
+
+    Checks z-independence across the rows, Fourier-transforms the first, undoes the
+    e^{-2 pi n y0} damping per mode, rounds to integers, and factors out the scale
+    making the leading entry -1.  kappa only names a likely cause in the error.
+    """
+    import numpy as np
+
+    grid = rows.shape[1]
+    _check_n_terms(n_terms, grid)
     max_dev = 0.0
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
@@ -254,12 +311,15 @@ def extract_mock_coefficients(y0: float = 0.3,
 
     modes = np.fft.fft(rows[0]) / grid
     raw: list[int] = []
+    margin = 0.0
     for n in range(n_terms):
-        value = modes[n].real * math.exp(2 * math.pi * n * y0)
+        value = float(modes[n].real) * math.exp(2 * math.pi * n * y0)
         nearest = round(value)
-        if abs(value - nearest) > 1e-4:
+        miss = abs(value - nearest)
+        if miss > 1e-4:
             raise RoundingUnstable(f"mode {n}: {value!r} is not near an integer")
-        raw.append(int(nearest))
+        margin = max(margin, miss)
+        raw.append(nearest)
 
     scale = Fraction(-raw[0])
     if scale == 0:
@@ -270,4 +330,22 @@ def extract_mock_coefficients(y0: float = 0.3,
         if scaled.denominator != 1:
             raise RoundingUnstable(f"scale {scale} does not divide {v}")
         values.append(int(scaled))
-    return MockCoefficients(tuple(values), scale, y0, grid, max_dev)
+    return MockCoefficients(tuple(values), scale, y0, grid, max_dev, margin)
+
+
+def extract_mock_coefficients(y0: float = 0.3,
+                              z_list: tuple[complex, ...] = DEFAULT_Z_LIST,
+                              grid: int = 128,
+                              kappa: complex = 24,
+                              n_terms: int = 5,
+                              z_tolerance: float = 1e-6) -> MockCoefficients:
+    """Fourier-extract the integer expansion of the mock-modular remainder.
+
+    sample_mock_rows, then read_mock_coefficients: samples q^{1/8} * remainder on
+    tau = x + i*y0 over a uniform x-grid, checks z-independence across z_list, undoes
+    the e^{-2 pi n y0} damping per mode, rounds to integers, and factors out the scale
+    making the leading entry -1.  Every argument is checked before anything is sampled.
+    """
+    _check_n_terms(n_terms, _check_grid(grid))
+    return read_mock_coefficients(sample_mock_rows(y0, z_list, grid, kappa), y0, n_terms,
+                                  kappa, z_tolerance)

@@ -373,6 +373,13 @@ def test_mock_terms_must_be_positive(capsys, terms):
     assert capsys.readouterr().err.startswith("qcft: ")
 
 
+@pytest.mark.parametrize("terms", ["65", "1000"])
+def test_mock_terms_past_the_grid_are_a_usage_error(capsys, terms):
+    # grid 128 has 64 modes before the aliases of the negative frequencies
+    assert main(["mock", "--terms", terms, *ORDER_ARGS]) == 2
+    assert "need an int in [1, 64] at grid 128" in capsys.readouterr().err
+
+
 def test_run_group_unknown():
     with pytest.raises(ValueError):
         run_group("nonexistent", RunConfig(order=40))

@@ -14,11 +14,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from qcft import boson, mock, special
+from qcft import boson, checks, mock, special
+from qcft.config import RunConfig
 from qcft.errors import (NotInUpperHalfPlane, RoundingUnstable, ThetaConstantVanishes,
                          ThetaZeroDivision, ZDependenceDetected)
 from qcft.mock import (DEFAULT_Z_LIST, JacobiPoint, appell_lerch_mu, elliptic_genus_k3,
-                       extract_mock_coefficients, jacobi_theta, mock_remainder)
+                       extract_mock_coefficients, jacobi_theta, mock_remainder,
+                       read_mock_coefficients, sample_mock_rows)
+from qcft.series import rat_str
 from qcft.special import eta_eval
 
 TAU = 0.13 + 0.78j
@@ -26,7 +29,11 @@ TAU = 0.13 + 0.78j
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Each test starts with no point or eta kept, so no test reads another's builds."""
+    """Each test starts and ends with no point or eta kept, so no test reads another's
+    builds, nor a value a test made with a patched kernel."""
+    mock._point.cache_clear()
+    special._eta_at.cache_clear()
+    yield
     mock._point.cache_clear()
     special._eta_at.cache_clear()
 
@@ -179,6 +186,33 @@ def test_extraction_argument_validation():
             extract_mock_coefficients(n_terms=n_terms)
 
 
+BAD_SIZES = [{"grid": 128.0}, {"grid": True}, {"grid": 2 * mock.MAX_GRID}, {"grid": 2 ** 40},
+             {"n_terms": 2.5}, {"n_terms": True}, {"n_terms": 65}, {"grid": 64, "n_terms": 33}]
+
+
+@pytest.mark.parametrize("kwargs", BAD_SIZES, ids=repr)
+def test_extraction_rejects_bad_sizes_before_sampling(monkeypatch, kwargs):
+    builds = counting_builds(monkeypatch)
+    with pytest.raises(ValueError, match="need an int"):
+        extract_mock_coefficients(**kwargs)
+    if "n_terms" not in kwargs:
+        with pytest.raises(ValueError, match="need an int"):
+            sample_mock_rows(**kwargs)
+    assert builds == {"theta_table": 0, "q_product": 0}
+
+
+@pytest.mark.parametrize("n_terms", [0, 65, 2.5])
+def test_reader_rejects_n_terms_past_half_the_rows(n_terms):
+    rows = sample_mock_rows(grid=128)
+    with pytest.raises(ValueError, match=r"\[1, 64\] at grid 128"):
+        read_mock_coefficients(rows, 0.3, n_terms)
+
+
+def test_size_bounds_are_inclusive():
+    assert mock._check_grid(64) == 64 and mock._check_grid(mock.MAX_GRID) == mock.MAX_GRID
+    assert mock._check_n_terms(1, 64) == 1 and mock._check_n_terms(32, 64) == 32
+
+
 def test_extraction_record():
     rec = extract_mock_coefficients(n_terms=3).to_record()
     assert rec["scale"] == "2/1"
@@ -310,7 +344,7 @@ def test_cached_arrays_are_read_only():
     p = JacobiPoint(0.27 + 0.06j, TAU)
     before = mock_remainder(p.z, p.tau)
     point = mock._point_of(p)
-    for a in (point.taus, point.table, *point.thetas, point.eg, point.mu):
+    for a in (point.taus, point.table, *point.thetas, *point.zero, point.eg, point.mu):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     assert mock_remainder(p.z, p.tau) == before
@@ -384,7 +418,8 @@ def one_row_values(z, tau):
     table, as every call built one before points kept theirs."""
     taus = np.array([tau], dtype=complex)
     thetas = [complex(special.theta_table((z,), taus)[1][i - 1][0, 0]) for i in (1, 2, 3, 4)]
-    eg = complex(mock._elliptic_genus(special.theta_table((z, 0), taus)[1])[0])
+    at_z_and_0 = special.theta_table((z, 0), taus)[1]
+    eg = complex(mock._elliptic_genus(*zip(*at_z_and_0))[0])
     table, row = special.theta_table((z,), taus)
     mu_zz = complex(mock._mu(z, z, table[0], row[0][0], taus)[0])
     return thetas, eg, mu_zz, complex(mock._remainder(z, taus, 24)[0])
@@ -459,3 +494,66 @@ def test_z_past_the_bound_raises(z, tau):
         past = complex(z.real, z.imag / tau.imag * 0.3)   # the same ratio at y0 = 0.3
         with pytest.raises(ValueError, match="Im z"):
             extract_mock_coefficients(y0=0.3, z_list=(0.17, 0.36, past))
+
+
+# -- one sampling per mock height ------------------------------------------------------
+
+REPORT_Y0 = (0.2, 0.3, 0.4)
+
+
+def test_check_mock_builds_thirteen_tables_and_three_products(monkeypatch):
+    # the origin point's table, then per y0 one zero-row table, one table per z and one
+    # eta^3; a standalone extraction builds one height's worth
+    builds = counting_builds(monkeypatch)
+    checks.check_mock(RunConfig())
+    assert builds == {"theta_table": 13, "q_product": 3}
+    builds.update(theta_table=0, q_product=0)
+    extract_mock_coefficients()
+    assert builds == {"theta_table": 4, "q_product": 1}
+
+
+@pytest.mark.parametrize("y0", REPORT_Y0)
+def test_strided_rows_equal_rows_sampled_at_half_the_grid(y0):
+    for grid in (128, 256):
+        assert np.array_equal(sample_mock_rows(y0, grid=grid)[:, ::2],
+                              sample_mock_rows(y0, grid=grid // 2))
+
+
+@pytest.mark.parametrize("y0", REPORT_Y0)
+def test_shared_rows_equal_rows_of_their_own_tables(y0):
+    # one zero-row table and one eta^3 for every z give the bits of one (z, 0) table each
+    taus = np.arange(256) / 256 + 1j * y0
+    q_eighth = np.exp(2j * np.pi * taus / 8)
+    for z, row in zip(DEFAULT_Z_LIST, sample_mock_rows(y0, grid=256)):
+        assert np.array_equal(row, q_eighth * mock._remainder(z, taus, 24))
+
+
+def test_check_mock_records_equal_standalone_extractions():
+    records = [r for r in checks.check_mock(RunConfig()) if r.name == "mock.coefficients"]
+    assert [(r.params["y0"], r.params["grid"]) for r in records] == [
+        (y0, grid) for y0 in REPORT_Y0 for grid in (128, 256)]
+    for r in records:
+        y0, grid = r.params["y0"], r.params["grid"]
+        alone = extract_mock_coefficients(y0=y0, grid=grid)
+        read = read_mock_coefficients(sample_mock_rows(y0, grid=256)[:, ::256 // grid], y0)
+        assert read == alone
+        assert r.residual == f"{alone.max_z_deviation:.17g}"
+        assert r.details == {"values": list(alone.values), "scale": rat_str(alone.scale)}
+        assert r.passed
+
+
+def test_check_mock_catches_a_perturbed_elliptic_genus(monkeypatch):
+    genus = mock._elliptic_genus
+    monkeypatch.setattr(mock, "_elliptic_genus", lambda *a: genus(*a) * (1 + 1e-6))
+    with pytest.raises(ZDependenceDetected):
+        checks.check_mock(RunConfig())
+
+
+@pytest.mark.parametrize("y0", REPORT_Y0)
+def test_rounding_margin_is_small_at_report_settings(y0):
+    rows = sample_mock_rows(y0, grid=256)
+    for stride in (2, 1):
+        got = read_mock_coefficients(rows[:, ::stride], y0)
+        assert got.values == (-1, 45, 231, 770, 2277)
+        assert 0 <= got.rounding_margin < 1e-9
+        assert "rounding_margin" not in got.to_record()
