@@ -13,7 +13,8 @@ from pathlib import Path
 
 from . import checks
 from .config import load_config
-from .errors import ConfigParse, GoldenMismatch, OrderTooLarge, QcftError
+from .errors import ConfigParse, GoldenMismatch, InvalidProgression, OrderTooLarge, QcftError
+from .regularization import ArithmeticProgressionSet
 from .reports import compare_golden, reports_to_bytes, write_golden
 
 SUBCOMMANDS = list(checks.GROUPS) + ["all"]
@@ -62,16 +63,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, order=args.order, tolerance=args.tolerance,
                           exact_only=args.exact_only, output=args.output)
-    except (ConfigParse, OrderTooLarge, ValueError, OSError) as e:
+        # validated before any group runs: an invalid set exits 2, as malformed text does
+        progressions = (ArithmeticProgressionSet(_parse_progressions(args.progressions))
+                        if args.subcommand == "casimir" and args.progressions else None)
+    except (ConfigParse, OrderTooLarge, InvalidProgression, ValueError, OSError) as e:
         print(f"qcft: configuration error: {e}", file=sys.stderr)
         return 2
 
     try:
         if args.subcommand == "all":
             reports = checks.run_all(cfg)
-        elif args.subcommand == "casimir" and args.progressions:
-            reports = checks.run_group(
-                "casimir", cfg, progressions=_parse_progressions(args.progressions))
+        elif progressions is not None:
+            reports = checks.run_group("casimir", cfg, progressions=progressions.progressions)
         elif args.subcommand == "mock":
             reports = checks.run_group("mock", cfg, n_terms=args.terms)
         else:

@@ -26,15 +26,21 @@ class RunConfig:
             raise ValueError(f"tolerance {self.float_tolerance} outside (0, 1e-2]")
 
 
-_KEYS = {"order", "tolerance", "exact_only", "output"}
-
-
 def _parse_bool(value: str, line: int) -> bool:
     if value.lower() in ("true", "1", "yes"):
         return True
     if value.lower() in ("false", "0", "no"):
         return False
     raise ConfigParse(f"expected a boolean, got {value!r}", line)
+
+
+# config-file key (and load_config keyword) -> (RunConfig field, parser of (text, line))
+_KEYS = {
+    "order": ("order", lambda value, line: int(value)),
+    "tolerance": ("float_tolerance", lambda value, line: float(value)),
+    "exact_only": ("exact_only", _parse_bool),
+    "output": ("output_path", lambda value, line: value),
+}
 
 
 def load_config(path: str | Path | None = None,
@@ -63,29 +69,14 @@ def load_config(path: str | Path | None = None,
             key, value = key.strip(), value.strip()
             if key not in _KEYS:
                 raise ConfigParse(f"unknown key {key!r}", lineno)
+            field_name, parse = _KEYS[key]
             try:
-                if key == "order":
-                    cfg = replace(cfg, order=int(value))
-                elif key == "tolerance":
-                    cfg = replace(cfg, float_tolerance=float(value))
-                elif key == "exact_only":
-                    cfg = replace(cfg, exact_only=_parse_bool(value, lineno))
-                else:
-                    cfg = replace(cfg, output_path=value)
-            except ConfigParse:
-                raise
+                cfg = replace(cfg, **{field_name: parse(value, lineno)})
             except ValueError as e:
                 raise ConfigParse(str(e), lineno)
 
-    updates = {}
-    if order is not None:
-        updates["order"] = order
-    if tolerance is not None:
-        updates["float_tolerance"] = tolerance
-    if exact_only is not None:
-        updates["exact_only"] = exact_only
-    if output is not None:
-        updates["output_path"] = output
+    flags = {"order": order, "tolerance": tolerance, "exact_only": exact_only, "output": output}
+    updates = {_KEYS[key][0]: value for key, value in flags.items() if value is not None}
     if updates:
         try:
             cfg = replace(cfg, **updates)

@@ -17,9 +17,9 @@ extraction's rows and for one point alike.
 The extraction is a sampler and a reader.  sample_mock_rows(y0, z_list, grid, kappa)
 samples q^{1/8} * remainder at tau = k / grid + i*y0 with one theta_table at z = 0
 and one eta^3 for every row and one theta_table((z,), taus) per z;
-read_mock_coefficients checks z-independence across the rows, Fourier-transforms
-them and rounds.  Each step is elementwise in tau and the cutoffs depend only on
-y0, so the rows at grid // s are the stride rows[:, ::s], bit for bit:
+read_mock_coefficients checks z-independence across the rows to Z_TOLERANCE,
+Fourier-transforms them and rounds.  Each step is elementwise in tau and the cutoffs
+depend only on y0, so the rows at grid // s are the stride rows[:, ::s], bit for bit:
 checks.check_mock samples each height once at grid 256 and reads grid 128 as
 rows[:, ::2].  extract_mock_coefficients is the two in a row.
 
@@ -47,6 +47,8 @@ from .series import rat_str
 from .special import CUTOFF_MARGIN, check_tau, eta_values, fold_tau, theta_table
 
 DEFAULT_Z_LIST = (0.17 + 0.04j, 0.36 - 0.03j, 0.45 + 0.07j)
+# the largest spread across the z rows read_mock_coefficients accepts
+Z_TOLERANCE = 1e-6
 
 
 def _check_z(z, tau=None):
@@ -289,13 +291,12 @@ def sample_mock_rows(y0: float = 0.3,
                      for z in z_list])
 
 
-def read_mock_coefficients(rows, y0: float, n_terms: int = 5, kappa: complex = 24,
-                           z_tolerance: float = 1e-6) -> MockCoefficients:
+def read_mock_coefficients(rows, y0: float, n_terms: int = 5) -> MockCoefficients:
     """The coefficients from the rows of sample_mock_rows at y0, or a stride of them.
 
-    Checks z-independence across the rows, Fourier-transforms the first, undoes the
-    e^{-2 pi n y0} damping per mode, rounds to integers, and factors out the scale
-    making the leading entry -1.  kappa only names a likely cause in the error.
+    Checks z-independence across the rows (to Z_TOLERANCE), Fourier-transforms the
+    first, undoes the e^{-2 pi n y0} damping per mode, rounds to integers, and factors
+    out the scale making the leading entry -1.
     """
     import numpy as np
 
@@ -305,9 +306,8 @@ def read_mock_coefficients(rows, y0: float, n_terms: int = 5, kappa: complex = 2
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
             max_dev = max(max_dev, float(np.max(np.abs(rows[a] - rows[b]))))
-    if max_dev > z_tolerance:
-        raise ZDependenceDetected(
-            f"remainder varies with z by {max_dev:.3e} (kappa = {kappa}?)")
+    if max_dev > Z_TOLERANCE:
+        raise ZDependenceDetected(f"remainder varies with z by {max_dev:.3e} (a wrong kappa?)")
 
     modes = np.fft.fft(rows[0]) / grid
     raw: list[int] = []
@@ -337,8 +337,7 @@ def extract_mock_coefficients(y0: float = 0.3,
                               z_list: tuple[complex, ...] = DEFAULT_Z_LIST,
                               grid: int = 128,
                               kappa: complex = 24,
-                              n_terms: int = 5,
-                              z_tolerance: float = 1e-6) -> MockCoefficients:
+                              n_terms: int = 5) -> MockCoefficients:
     """Fourier-extract the integer expansion of the mock-modular remainder.
 
     sample_mock_rows, then read_mock_coefficients: samples q^{1/8} * remainder on
@@ -347,5 +346,4 @@ def extract_mock_coefficients(y0: float = 0.3,
     making the leading entry -1.  Every argument is checked before anything is sampled.
     """
     _check_n_terms(n_terms, _check_grid(grid))
-    return read_mock_coefficients(sample_mock_rows(y0, z_list, grid, kappa), y0, n_terms,
-                                  kappa, z_tolerance)
+    return read_mock_coefficients(sample_mock_rows(y0, z_list, grid, kappa), y0, n_terms)

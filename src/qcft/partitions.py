@@ -12,7 +12,8 @@ bits above that bound, so no slot carries into or borrows from the next.  One
 backtracking enumerator applies the raw definition to explicit part lists and
 counts each one, a leaf without a call of its own; it is the oracle, which the
 rr.partition_oracle records compare with the DP to n = 60.  Two independent
-DPs check the Andrews-Gordon identity, one per side.
+DPs check the Andrews-Gordon identity, one per side.  unrestricted_p counts p(n)
+by Euler's pentagonal number recurrence over special.pentagonal, with no DP.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from math import ceil, log, pi, sqrt
 
+from . import special
 from .errors import ConflictingConstraint
 from .reports import CheckReport
 from .series import check_order
@@ -248,22 +250,16 @@ def count_partitions(n_max: int, c: PartitionConstraint) -> CountTable:
 # -- unrestricted p(n) ---------------------------------------------------------
 
 def unrestricted_p(n_max: int) -> CountTable:
-    """p(n) by Euler's pentagonal number recurrence."""
-    p = [0] * check_order(n_max + 1)
-    p[0] = 1
+    """p(n) by Euler's pentagonal number recurrence, p(n) = -sum (-1)^k p(n - g) over
+    the g <= n of special.pentagonal: the coefficients of 1 / prod (1 - q^n)."""
+    p = [1] + [0] * (check_order(n_max + 1) - 1)
+    terms = list(special.pentagonal(n_max))
     for n in range(1, n_max + 1):
         total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n:
+        for g, sign in terms:
+            if g > n:
                 break
-            sign = -1 if k % 2 == 0 else 1
-            total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
+            total -= sign * p[n - g]
         p[n] = total
     return CountTable(p)
 

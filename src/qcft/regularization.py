@@ -73,7 +73,7 @@ def casimir_exponent(s: ArithmeticProgressionSet) -> Fraction:
 
 def _product_series(s: ArithmeticProgressionSet, order: int, sign: int) -> FracQSeries:
     exponents = s.members(check_order(order))
-    return FracQSeries.from_ints(casimir_exponent(s), euler_product(exponents, sign, True, order))
+    return FracQSeries.from_ints(casimir_exponent(s), euler_product(exponents, sign, order))
 
 
 def oscillator_partition_series(s: ArithmeticProgressionSet,

@@ -1,19 +1,21 @@
 """Named modular objects: Dedekind eta, Eisenstein series, Rogers-Ramanujan products.
 
-Exact constructors return FracQSeries, and every Euler product among them is
-expanded over ints by euler_product.  The numeric side evaluates at
-q = exp(2*pi*i*tau) in numpy (imported lazily) at one tau or over an array of
-them, with one of each primitive: check_tau validates tau, fold_tau moves a
-scalar's Re tau into [-period/2, period/2] (every kernel is periodic in it with a
-period dividing 24, the default; evaluate_series passes lcm(24, den(a)) for its
-q^a), adaptive_cutoff is the only truncation of every q-sum (|q|^(n^p / p)
-below CUTOFF_TARGET, plus CUTOFF_MARGIN, at most MAX_CUTOFF by check_terms),
-q_product the Euler product, theta_table the theta series (with halves=False only
-its integer steps, theta_3 and theta_4).  No kernel takes a cutoff, and each checks
-tau before anything is allocated: in adaptive_cutoff, and first in fold_tau at the
-one-point entries.  eta_eval keeps the last ETA_CACHE_SIZE values by folded tau
-(the scalar path's value; an eta_values array may differ from it in the last bit).
-evaluate_series sums a FracQSeries by Horner over the series' memoized int numerators.
+Exact constructors return FracQSeries over ints: eta from the generalized pentagonal
+numbers of pentagonal (Euler's pentagonal number theorem, which unrestricted_p in
+partitions reads too), and every inverse Euler product 1 / prod (1 + s q^e) by the
+coin-change pass of euler_product.  The numeric side evaluates at q = exp(2*pi*i*tau)
+in numpy (imported lazily) at one tau or over an array of them, with one of each
+primitive: check_tau validates tau, fold_tau moves a scalar's Re tau into
+[-period/2, period/2] (every kernel is periodic in it with a period dividing 24, the
+default; evaluate_series passes lcm(24, den(a)) for its q^a), adaptive_cutoff is the
+only truncation of every q-sum (|q|^(n^p / p) below CUTOFF_TARGET, plus CUTOFF_MARGIN,
+at most MAX_CUTOFF by check_terms), q_product the Euler product, theta_table the theta
+series (with halves=False only its integer steps, theta_3 and theta_4).  No kernel
+takes a cutoff, and each checks tau before anything is allocated: in adaptive_cutoff,
+and first in fold_tau at the one-point entries.  eta_eval keeps the last ETA_CACHE_SIZE
+values by folded tau (the scalar path's value; an eta_values array may differ from it
+in the last bit).  evaluate_series sums a FracQSeries by Horner over the series'
+memoized int numerators.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import cmath
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import CutoffTooLarge, NotInUpperHalfPlane
 from .series import DEFAULT_ORDER, FracQSeries, check_order
@@ -38,30 +40,37 @@ def divisor_sums(k: int, n_max: int) -> list[int]:
     return values[1:]
 
 
-def euler_product(exponents: Iterable[int], sign: int, invert: bool,
-                  order: int) -> list[int]:
-    """The first `order` coefficients of prod (1 + sign q^e) over the exponents,
-    or of its inverse: each factor is one in-place pass over ints.
-
-    (1 + s q^e) runs from the top index down, so every term is used once;
-    1 / (1 + s q^e) is the coin-change update g_n = f_n - s g_(n-e), bottom up.
-    """
+def euler_product(exponents: Iterable[int], sign: int, order: int) -> list[int]:
+    """The first `order` coefficients of 1 / prod (1 + sign q^e) over the exponents: each
+    factor is one in-place coin-change pass g_n = f_n - sign g_(n-e), bottom up."""
     coeffs = [1] + [0] * (check_order(order) - 1)
     for e in exponents:
         if e < 1:
             raise ValueError(f"exponent {e} < 1")
-        if invert:
-            for n in range(e, order):
-                coeffs[n] -= sign * coeffs[n - e]
-        else:
-            for n in range(order - 1, e - 1, -1):
-                coeffs[n] += sign * coeffs[n - e]
+        for n in range(e, order):
+            coeffs[n] -= sign * coeffs[n - e]
     return coeffs
 
 
+def pentagonal(n_max: int) -> Iterator[tuple[int, int]]:
+    """(g, (-1)^k) for the generalized pentagonal numbers g = k(3k - 1)/2 and k(3k + 1)/2
+    <= n_max, k >= 1, ascending.  Euler's pentagonal number theorem: prod_{n>=1} (1 - q^n)
+    = 1 + sum (-1)^k q^g over these g (Andrews, The Theory of Partitions, ch. 1)."""
+    k = 1
+    while (g := k * (3 * k - 1) // 2) <= n_max:
+        yield g, (-1) ** k
+        if g + k <= n_max:   # k(3k + 1)/2
+            yield g + k, (-1) ** k
+        k += 1
+
+
 def dedekind_eta(order: int = DEFAULT_ORDER) -> FracQSeries:
-    """q^{1/24} * prod_{n>=1} (1 - q^n), truncated after `order` coefficients."""
-    return FracQSeries.from_ints(Fraction(1, 24), euler_product(range(1, order), -1, False, order))
+    """q^{1/24} * prod_{n>=1} (1 - q^n), truncated after `order` coefficients: the
+    signs of pentagonal at its g, and 0 elsewhere."""
+    coeffs = [1] + [0] * (check_order(order) - 1)
+    for g, sign in pentagonal(order - 1):
+        coeffs[g] = sign
+    return FracQSeries.from_ints(Fraction(1, 24), coeffs)
 
 
 def eisenstein(k: int, order: int = DEFAULT_ORDER) -> FracQSeries:
@@ -87,7 +96,7 @@ def _rr_parts(which: str, order: int) -> Iterable[int]:
 
 def rr_product(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     """Rogers-Ramanujan products 1 / prod (1 - q^e) over the parts of RR_RESIDUES."""
-    return FracQSeries.from_ints(0, euler_product(_rr_parts(which, order), -1, True, order))
+    return FracQSeries.from_ints(0, euler_product(_rr_parts(which, order), -1, order))
 
 
 def check_tau(tau):

@@ -307,6 +307,19 @@ def test_exit_code_2_on_bad_progressions(capsys):
     assert main(["casimir", "--progressions", "zero", *ORDER_ARGS]) == 2
 
 
+@pytest.mark.parametrize("spec", ["5:7", "5:1,1", "0:1", "5", "5:x"])
+def test_invalid_progressions_exit_2_before_any_group_runs(spec, capsys, monkeypatch):
+    # out of range, overlapping and zero-period sets are usage errors, as malformed text is
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group ran")
+
+    monkeypatch.setattr(qcft.checks, "run_group", refuse)
+    assert main(["casimir", "--progressions", spec, *ORDER_ARGS]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("qcft: ")
+    assert "Traceback" not in captured.err
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main(["series", *ORDER_ARGS, "--output", str(out_path)])

@@ -3,12 +3,15 @@ and inspect."""
 
 import ast
 import inspect
+import re
+from collections import Counter
 from pathlib import Path
 
 import qcft
 from qcft import boson, mock, special, virasoro
 
 MODULES = sorted(p for p in Path(qcft.__file__).parent.glob("*.py") if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -55,3 +58,22 @@ def test_no_numeric_entry_point_takes_a_cutoff():
              for name, obj in public_callables(module)
              if "cutoff" in inspect.signature(obj).parameters}
     assert found == declared   # a class's signature is its __init__'s: JacobiPoint's fields
+
+
+def defined_names(source: str) -> list[str]:
+    """The functions, methods and classes a module defines, nested ones too, dunders aside."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def test_every_defined_name_is_used():
+    # a name that src/qcft defines and nothing in src/qcft, tests or perfbench mentions
+    # again (word match, comments and strings included) is code nothing uses
+    assert defined_names("def f():\n    def g(): pass\nclass C:\n    def __init__(s): pass\n"
+                         ) == ["f", "C", "g"]
+    sources = sorted(Path(qcft.__file__).parent.glob("*.py"))
+    searched = [*sources, *(REPO / "tests").glob("*.py"), *(REPO / "perfbench").glob("*.py")]
+    words = Counter(w for p in searched for w in re.findall(r"\w+", p.read_text()))
+    defined = Counter(name for p in sources for name in defined_names(p.read_text()))
+    assert sorted(name for name, n in defined.items() if words[name] <= n) == []

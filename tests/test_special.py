@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcft import boson, mock, partitions, regularization, special, virasoro
+from qcft import boson, checks, mock, partitions, regularization, special, virasoro
 from qcft.config import RunConfig
 from qcft.errors import CutoffTooLarge, NotInUpperHalfPlane, OrderTooLarge
 from qcft.series import MAX_ORDER, FracQSeries
@@ -93,6 +93,35 @@ def test_eta_pentagonal_pattern():
     assert [int(c) for c in eta.coeffs[:13]] == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
 
 
+def test_eta_builds_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eta expanded a product")
+
+    monkeypatch.setattr(special, "euler_product", refuse)
+    eta = dedekind_eta(401)
+    monkeypatch.undo()
+    assert eta == _eta_product(401)
+
+
+def test_pentagonal_matches_bruteforce():
+    for n in range(501):
+        expect = {k * (3 * k + s) // 2: (-1) ** k for k in range(1, n + 1) for s in (-1, 1)}
+        assert list(special.pentagonal(n)) == sorted((g, v) for g, v in expect.items() if g <= n)
+
+
+@pytest.mark.parametrize("fault", [None, 1, 40, 77])
+def test_a_pentagonal_sign_fault_is_caught(fault, monkeypatch):
+    # one flipped sign: the report's eta record (to q^79) and p(n) against the DP both see it
+    honest = special.pentagonal
+    monkeypatch.setattr(special, "pentagonal", lambda n_max: (
+        (g, -sign if g == fault else sign) for g, sign in honest(n_max)))
+    record, = (r for r in checks.check_casimir(RunConfig())
+               if r.name == "casimir.oscillator_is_inverse_eta")
+    assert record.passed == (fault is None)
+    counts = partitions.count_partitions(100, partitions.PartitionConstraint())
+    assert (partitions.unrestricted_p(100).values == counts.values) == (fault is None)
+
+
 # -- eisenstein -------------------------------------------------------------------
 
 @pytest.mark.parametrize("k,weight_factor", [(2, -24), (4, 240)])
@@ -141,22 +170,20 @@ def test_rr_small_values():
 
 # -- euler_product ------------------------------------------------------------------
 
-@given(st.lists(st.integers(1, 45), max_size=15), st.sampled_from((-1, 1)), st.booleans(),
-       st.integers(1, 40))
+@given(st.lists(st.integers(1, 45), max_size=15), st.sampled_from((-1, 1)), st.integers(1, 40))
 @settings(max_examples=100, deadline=None)
-def test_euler_product_matches_mul_sparse_chain(exponents, sign, invert, order):
+def test_euler_product_matches_mul_sparse_chain(exponents, sign, order):
     chain = FracQSeries.one(order)
     for e in exponents:
         chain = chain.mul_sparse(e, sign)
-    expect = series_invert(chain.coeffs, order) if invert else list(chain.coeffs)
-    assert euler_product(exponents, sign, invert, order) == expect
+    assert euler_product(exponents, sign, order) == series_invert(chain.coeffs, order)
 
 
 def test_euler_product_validation():
     with pytest.raises(ValueError):
-        euler_product([1], -1, True, 0)
+        euler_product([1], -1, 0)
     with pytest.raises(ValueError):
-        euler_product([0], -1, False, 5)
+        euler_product([0], -1, 5)
 
 
 # -- numerical evaluation -----------------------------------------------------------
@@ -420,7 +447,7 @@ RR_SET = regularization.ArithmeticProgressionSet(((5, 1), (5, 4)))
 
 EXTREME_ORDERS = {
     "RunConfig": lambda: RunConfig(order=ABOVE),
-    "euler_product": lambda: euler_product(range(1, ABOVE), -1, False, ABOVE),
+    "euler_product": lambda: euler_product(range(1, ABOVE), -1, ABOVE),
     "dedekind_eta": lambda: dedekind_eta(ABOVE),
     "eisenstein 2": lambda: eisenstein(2, ABOVE),
     "eisenstein 4": lambda: eisenstein(4, ABOVE),
@@ -454,7 +481,7 @@ def test_extreme_orders_raise_before_allocating(entry):
 
 def test_max_order_is_accepted():
     # few factors and few allowed parts, so that the bound itself is all that is tested
-    assert euler_product([MAX_ORDER - 1], -1, False, MAX_ORDER)[-1] == -1
+    assert euler_product([MAX_ORDER - 1], -1, MAX_ORDER)[-1] == 1
     counts = partitions.count_partitions(
         MAX_ORDER - 1, partitions.PartitionConstraint(min_part=MAX_ORDER - 1))
     assert len(counts) == MAX_ORDER and counts[MAX_ORDER - 1] == 1
@@ -468,6 +495,14 @@ def _gap_two_counts(n, min_part):
         n - 1, partitions.PartitionConstraint(min_part=min_part, min_gap=2)).values
 
 
+def _eta_product(n):
+    # eta's own product, a chain of mul_sparse factors: no pentagonal number in it
+    eta = FracQSeries.monomial(F(1, 24), n)
+    for m in range(1, n):
+        eta = eta.mul_sparse(m, -1)
+    return eta
+
+
 def _eisenstein_ints(mult, power, n):
     return [1] + [mult * s for s in special.divisor_sums(power, n - 1)]
 
@@ -478,16 +513,15 @@ INT_BUILT = {
     "one": (FracQSeries.one, lambda n: FracQSeries(0, [1] + [0] * (n - 1))),
     "monomial": (lambda n: FracQSeries.monomial(F(-7, 60), n),
                  lambda n: FracQSeries(F(-7, 60), [1] + [0] * (n - 1))),
-    "dedekind_eta": (dedekind_eta, lambda n: FracQSeries(
-        F(1, 24), euler_product(range(1, n), -1, False, n))),
+    "dedekind_eta": (dedekind_eta, lambda n: FracQSeries(F(1, 24), _eta_product(n).coeffs)),
     "eisenstein 2": (lambda n: eisenstein(2, n),
                      lambda n: FracQSeries(0, _eisenstein_ints(-24, 1, n))),
     "eisenstein 4": (lambda n: eisenstein(4, n),
                      lambda n: FracQSeries(0, _eisenstein_ints(240, 3, n))),
     "rr_product G": (lambda n: rr_product("G", n), lambda n: FracQSeries(
-        0, euler_product(special._rr_parts("G", n), -1, True, n))),
+        0, euler_product(special._rr_parts("G", n), -1, n))),
     "rr_product H": (lambda n: rr_product("H", n), lambda n: FracQSeries(
-        0, euler_product(special._rr_parts("H", n), -1, True, n))),
+        0, euler_product(special._rr_parts("H", n), -1, n))),
     "character_25 V0": (lambda n: virasoro.character_25("V0", n),
                         lambda n: FracQSeries(F(11, 60), _gap_two_counts(n, 2))),
     "character_25 Vm15": (lambda n: virasoro.character_25("Vm15", n),
@@ -495,11 +529,11 @@ INT_BUILT = {
     "oscillator_partition_series": (
         lambda n: regularization.oscillator_partition_series(RR_SET, n),
         lambda n: FracQSeries(regularization.casimir_exponent(RR_SET),
-                              euler_product(RR_SET.members(n), -1, True, n))),
+                              euler_product(RR_SET.members(n), -1, n))),
     "twisted_oscillator_series": (
         lambda n: regularization.twisted_oscillator_series(RR_SET, n),
         lambda n: FracQSeries(regularization.casimir_exponent(RR_SET),
-                              euler_product(RR_SET.members(n), 1, True, n))),
+                              euler_product(RR_SET.members(n), 1, n))),
 }
 
 
