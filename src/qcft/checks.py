@@ -64,19 +64,16 @@ def check_casimir(cfg: RunConfig,
 
     out.append(_exact("casimir.hurwitz_all_integers", {"p": 1, "r": 1},
                       regularization.hurwitz_sum(1, 1) == Fraction(-1, 12)))
-    pair_g = regularization.hurwitz_sum(5, 1) + regularization.hurwitz_sum(5, 4)
-    pair_h = regularization.hurwitz_sum(5, 2) + regularization.hurwitz_sum(5, 3)
+    g, h = special.RR_SPECTRUM["G"], special.RR_SPECTRUM["H"]
+    pair_g, pair_h = (sum(regularization.hurwitz_sum(p, r) for p, r in s.progressions)
+                      for s in (g, h))
     out.append(_exact("casimir.hurwitz_pair_1_4_mod_5", {}, pair_g == Fraction(-1, 30)))
     out.append(_exact("casimir.hurwitz_pair_2_3_mod_5", {}, pair_h == Fraction(11, 30)))
 
-    targets = {
-        ((5, 1), (5, 4)): Fraction(-1, 60),
-        ((5, 2), (5, 3)): Fraction(11, 60),
-        ((1, 1),): Fraction(-1, 24),
-    }
-    for progs, expected in targets.items():
-        aps = regularization.ArithmeticProgressionSet(progs)
-        out.append(_exact("casimir.exponent", {"progressions": progs},
+    targets = {g: Fraction(-1, 60), h: Fraction(11, 60),
+               regularization.ArithmeticProgressionSet([(1, 1)]): Fraction(-1, 24)}
+    for aps, expected in targets.items():
+        out.append(_exact("casimir.exponent", {"progressions": aps.progressions},
                           regularization.casimir_exponent(aps) == expected,
                           {"value": rat_str(expected)}))
 
@@ -145,14 +142,14 @@ def check_minimal_model(cfg: RunConfig) -> list[CheckReport]:
                       (best.p, best.q) == (2, 5) and ceff == Fraction(2, 5),
                       {"minimizer": f"({best.p},{best.q})", "c_eff": rat_str(ceff)}))
     c = virasoro.central_charge(virasoro.MinimalModelLabel(2, 5))
+    casimir = {w: regularization.casimir_exponent(s) for w, s in special.RR_SPECTRUM.items()}
     out.append(_exact("minimal.casimir_identities", {},
-                      Fraction(11, 60) == -c / 24 and Fraction(-1, 60) == -ceff_25 / 24))
+                      casimir["H"] == -c / 24 and casimir["G"] == -ceff_25 / 24))
 
     n = min(cfg.order, 201)
     for sector, which in virasoro.SECTOR_PRODUCT.items():
         chi = virasoro.character_25(sector, n)
-        ref = FracQSeries.from_ints(virasoro.CHARACTER_PREFACTOR[sector],
-                                    *special.rr_product(which, n).numerators())
+        ref = regularization.oscillator_partition_series(special.RR_SPECTRUM[which], n)
         out.append(_exact(f"minimal.character_{sector}", {"order": n}, chi == ref))
 
     if not cfg.exact_only:

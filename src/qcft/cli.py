@@ -52,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip floating-point checks")
     parser.add_argument("--progressions", type=str, default=None,
                         help="casimir subcommand: progressions like '5:1,4'")
-    parser.add_argument("--terms", type=int, default=5,
-                        help="mock subcommand: number of coefficients to extract")
+    parser.add_argument("--terms", type=int, default=None,
+                        help="mock subcommand: number of coefficients to extract (default 5)")
     return parser
 
 
@@ -63,9 +63,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, order=args.order, tolerance=args.tolerance,
                           exact_only=args.exact_only, output=args.output)
-        # validated before any group runs: an invalid set exits 2, as malformed text does
-        progressions = (ArithmeticProgressionSet(_parse_progressions(args.progressions))
-                        if args.subcommand == "casimir" and args.progressions else None)
+        # a flag that feeds one group's keyword: any other subcommand, `all` too, exits 2
+        if (args.terms is not None and args.subcommand != "mock"
+                or args.progressions is not None and args.subcommand != "casimir"):
+            raise ValueError("--terms applies only to mock, --progressions only to casimir")
+        kwargs = {} if args.terms is None else {"n_terms": args.terms}
+        if args.progressions:
+            # validated before any group runs: an invalid set exits 2, as malformed text does
+            kwargs["progressions"] = ArithmeticProgressionSet(
+                _parse_progressions(args.progressions)).progressions
     except (ConfigParse, OrderTooLarge, InvalidProgression, ValueError, OSError) as e:
         print(f"qcft: configuration error: {e}", file=sys.stderr)
         return 2
@@ -73,12 +79,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.subcommand == "all":
             reports = checks.run_all(cfg)
-        elif progressions is not None:
-            reports = checks.run_group("casimir", cfg, progressions=progressions.progressions)
-        elif args.subcommand == "mock":
-            reports = checks.run_group("mock", cfg, n_terms=args.terms)
         else:
-            reports = checks.run_group(args.subcommand, cfg)
+            reports = checks.run_group(args.subcommand, cfg, **kwargs)
     except ValueError as e:
         print(f"qcft: {e}", file=sys.stderr)
         return 2

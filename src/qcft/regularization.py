@@ -4,48 +4,18 @@ The closed form sum_{n>=0} (pn + r) = r(p-r)/(2p) - p/12 is the s = -1
 Hurwitz value; the naive split p*sum(n) + r*sum(1) misses -r^2/(2p).
 Casimir exponents are half the regularized spectrum sum, which is the unique
 constant calibration reproducing both (2,5) character prefactors at once.
+
+A spectrum is a special.ArithmeticProgressionSet, the one declaration of an Euler
+product: the oscillator traces are q^{casimir_exponent} times euler_product over its
+members, so oscillator_partition_series(special.RR_SPECTRUM[w]) is a (2,5) character.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidProgression
 from .series import DEFAULT_ORDER, FracQSeries, check_order
-from .special import euler_product
-
-
-@dataclass(frozen=True)
-class ArithmeticProgressionSet:
-    """A finite union of progressions {p*n + r : n >= 0} with 0 < r <= p."""
-
-    progressions: tuple[tuple[int, int], ...]
-
-    def __init__(self, progressions):
-        progs = tuple((int(p), int(r)) for p, r in progressions)
-        if not progs:
-            raise InvalidProgression("no progressions")
-        for i, (p, r) in enumerate(progs):
-            _validate(p, r)
-            # {pn + r} and {p'n + r'} share a member iff r = r' mod gcd(p, p') (CRT)
-            for p2, r2 in progs[:i]:
-                if (r - r2) % math.gcd(p, p2) == 0:
-                    raise InvalidProgression(f"progressions ({p2}, {r2}) and ({p}, {r}) overlap")
-        object.__setattr__(self, "progressions", progs)
-
-    def members(self, below: int) -> list[int]:
-        """All spectrum members < below, ascending (progressions kept disjoint)."""
-        out: list[int] = []
-        for p, r in self.progressions:
-            out.extend(range(r, below, p))
-        return sorted(out)
-
-
-def _validate(p: int, r: int):
-    if p < 1 or not (1 <= r <= p):
-        raise InvalidProgression(f"(p, r) = ({p}, {r})")
+from .special import ArithmeticProgressionSet, _validate, euler_product
 
 
 def hurwitz_sum(p: int, r: int) -> Fraction:

@@ -3,19 +3,21 @@
 Exact constructors return FracQSeries over ints: eta from the generalized pentagonal
 numbers of pentagonal (Euler's pentagonal number theorem, which unrestricted_p in
 partitions reads too), and every inverse Euler product 1 / prod (1 + s q^e) by the
-coin-change pass of euler_product.  The numeric side evaluates at q = exp(2*pi*i*tau)
-in numpy (imported lazily) at one tau or over an array of them, with one of each
-primitive: check_tau validates tau, fold_tau moves a scalar's Re tau into
-[-period/2, period/2] (every kernel is periodic in it with a period dividing 24, the
-default; evaluate_series passes lcm(24, den(a)) for its q^a), adaptive_cutoff is the
+coin-change pass of euler_product.  A product is declared once, by its spectrum: an
+ArithmeticProgressionSet whose members are its exponents (RR_SPECTRUM for G and H),
+which euler_product reads exactly and q_product numerically.  The numeric side evaluates
+at q = exp(2*pi*i*tau) in numpy (imported lazily) at one tau or over an array of them,
+with one of each primitive: check_tau validates tau, fold_tau moves a scalar's Re tau
+into [-period/2, period/2] (every kernel is periodic in it with a period dividing 24,
+the default; evaluate_series passes lcm(24, den(a)) for its q^a), adaptive_cutoff is the
 only truncation of every q-sum (|q|^(n^p / p) below CUTOFF_TARGET, plus CUTOFF_MARGIN,
 at most MAX_CUTOFF by check_terms), q_product the Euler product, theta_table the theta
-series (with halves=False only its integer steps, theta_3 and theta_4).  No kernel
-takes a cutoff, and each checks tau before anything is allocated: in adaptive_cutoff,
-and first in fold_tau at the one-point entries.  eta_eval keeps the last ETA_CACHE_SIZE
-values by folded tau (the scalar path's value; an eta_values array may differ from it
-in the last bit).  evaluate_series sums a FracQSeries by Horner over the series'
-memoized int numerators.
+series (with halves=False only its integer steps, theta_3 and theta_4).  No kernel takes
+a cutoff, and each checks tau before anything is allocated: in adaptive_cutoff, and
+first in fold_tau at the one-point entries.  eta_eval keeps the last ETA_CACHE_SIZE
+values by folded tau (the scalar path's value; an eta_values array may differ from it in
+the last bit).  evaluate_series sums a FracQSeries by Horner over the series' memoized
+int numerators.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import CutoffTooLarge, NotInUpperHalfPlane
+from .errors import CutoffTooLarge, InvalidProgression, NotInUpperHalfPlane
 from .series import DEFAULT_ORDER, FracQSeries, check_order
 
 
@@ -85,18 +88,46 @@ def eisenstein(k: int, order: int = DEFAULT_ORDER) -> FracQSeries:
     return FracQSeries.from_ints(0, [1] + [mult * s for s in sig])
 
 
+@dataclass(frozen=True)
+class ArithmeticProgressionSet:
+    """A finite union of progressions {p*n + r : n >= 0} with 0 < r <= p: the spectrum
+    of an Euler product, whose exponents are its members."""
+
+    progressions: tuple[tuple[int, int], ...]
+
+    def __init__(self, progressions):
+        progs = tuple((int(p), int(r)) for p, r in progressions)
+        if not progs:
+            raise InvalidProgression("no progressions")
+        for i, (p, r) in enumerate(progs):
+            _validate(p, r)
+            # {pn + r} and {p'n + r'} share a member iff r = r' mod gcd(p, p') (CRT)
+            for p2, r2 in progs[:i]:
+                if (r - r2) % math.gcd(p, p2) == 0:
+                    raise InvalidProgression(f"progressions ({p2}, {r2}) and ({p}, {r}) overlap")
+        object.__setattr__(self, "progressions", progs)
+
+    def members(self, below: int) -> list[int]:
+        """All spectrum members < below, ascending (progressions kept disjoint)."""
+        return sorted(e for p, r in self.progressions for e in range(r, below, p))
+
+
+def _validate(p: int, r: int):
+    if p < 1 or not (1 <= r <= p):
+        raise InvalidProgression(f"(p, r) = ({p}, {r})")
+
+
 # parts of G and H (n % RR_MODULUS in the residues); the smallest is that of the gap-2 side
 RR_MODULUS = 5
 RR_RESIDUES = {"G": (1, 4), "H": (2, 3)}
-
-
-def _rr_parts(which: str, order: int) -> Iterable[int]:
-    return (e for e in range(1, order) if e % RR_MODULUS in RR_RESIDUES[which])
+RR_SPECTRUM = {w: ArithmeticProgressionSet((RR_MODULUS, r) for r in rs)
+               for w, rs in RR_RESIDUES.items()}
 
 
 def rr_product(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:
-    """Rogers-Ramanujan products 1 / prod (1 - q^e) over the parts of RR_RESIDUES."""
-    return FracQSeries.from_ints(0, euler_product(_rr_parts(which, order), -1, order))
+    """Rogers-Ramanujan products 1 / prod (1 - q^e) over the members of RR_SPECTRUM."""
+    exponents = RR_SPECTRUM[which].members(check_order(order))
+    return FracQSeries.from_ints(0, euler_product(exponents, -1, order))
 
 
 def check_tau(tau):
@@ -154,16 +185,13 @@ def adaptive_cutoff(tau, power: int = 1) -> int:
     return math.floor(check_terms(bound + 1 + CUTOFF_MARGIN))
 
 
-def q_product(tau, sign: int, residues=None):
-    """prod_{n=1}^{c} (1 + sign q^n) at each tau of an array (or at one tau), with c the
-    adaptive_cutoff at the smallest Im tau, so every entry is converged; residues =
-    (modulus, kept) keeps only the factors with n % modulus in kept.  One np.prod over
-    the table q^n = exp(2 pi i n tau)."""
+def q_product(tau, sign: int, spectrum: ArithmeticProgressionSet | None = None):
+    """prod (1 + sign q^n) over n <= c at each tau of an array (or at one tau), with c the
+    adaptive_cutoff at the smallest Im tau, so every entry is converged: every n, or the
+    members of spectrum.  One np.prod over the table q^n = exp(2 pi i n tau)."""
     import numpy as np
-    n = np.arange(1, adaptive_cutoff(tau) + 1)   # which checks tau
-    if residues is not None:
-        modulus, kept = residues
-        n = n[np.isin(n % modulus, kept)]
+    c = adaptive_cutoff(tau)   # which checks tau
+    n = np.arange(1, c + 1) if spectrum is None else np.array(spectrum.members(c + 1))
     return np.multiply.reduce(1 + sign * np.exp(2j * np.pi * np.multiply.outer(n, tau)))
 
 

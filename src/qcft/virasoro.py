@@ -1,6 +1,10 @@
 """Virasoro bracket, Verma-module Gram matrices, minimal-model data, and the
 second-order modular differential equation satisfied by the (2,5) characters.
 
+Each (2,5) character is q^a times the Rogers-Ramanujan product SECTOR_PRODUCT names,
+declared once as its spectrum special.RR_SPECTRUM[w]: a = CHARACTER_PREFACTOR is that
+spectrum's Casimir exponent, and the exact and numeric products read its members.
+
 Mode convention: positive modes raise the L_0 weight (L_m maps weight h to
 weight h + m), so a lowest-weight vector |h> is annihilated by every L_{-m}
 with m > 0.  Gram entries are exact polynomials in (c, h).
@@ -15,8 +19,9 @@ from fractions import Fraction
 
 from .errors import LevelTooLarge
 from .partitions import PartitionConstraint, count_partitions
+from .regularization import casimir_exponent, oscillator_partition_series
 from .series import DEFAULT_ORDER, FracQSeries
-from .special import RR_MODULUS, RR_RESIDUES, eisenstein, fold_tau, q_product, rr_product
+from .special import RR_RESIDUES, RR_SPECTRUM, eisenstein, fold_tau, q_product
 
 # every Gram determinant up to this level is in reach: level 6 (dimension 11) in under 1 s
 MAX_GRAM_LEVEL = 6
@@ -347,12 +352,11 @@ def minimal_c_eff_scan(bound: int) -> tuple[MinimalModelLabel, Fraction]:
 
 # -- (2,5) characters and the torus ----------------------------------------------
 
-CHARACTER_PREFACTOR = {
-    "V0": Fraction(11, 60),     # -c/24 at (2,5)
-    "Vm15": Fraction(-1, 60),   # h - c/24 = -1/5 + 11/60
-}
 # each character is q^CHARACTER_PREFACTOR times one Rogers-Ramanujan product
 SECTOR_PRODUCT = {"V0": "H", "Vm15": "G"}
+# the Casimir sum of the product's spectrum: 11/60 = -c/24 for V0, -1/60 = h - c/24 for Vm15
+CHARACTER_PREFACTOR = {sector: casimir_exponent(RR_SPECTRUM[which])
+                       for sector, which in SECTOR_PRODUCT.items()}
 
 
 def character_25(sector: str, order: int = DEFAULT_ORDER) -> FracQSeries:
@@ -370,12 +374,12 @@ def character_25(sector: str, order: int = DEFAULT_ORDER) -> FracQSeries:
 
 def torus_partition_function_25(tau: complex) -> float:
     """The sum over the sectors of |q^a / prod (1 - q^n)|^2 at q = exp(2*pi*i*tau), with
-    a = CHARACTER_PREFACTOR and n over the sector's product (one q_product each), at
-    fold_tau(tau), which also checks tau before the first exp."""
+    a = CHARACTER_PREFACTOR and n over the RR_SPECTRUM of the sector's product (one
+    q_product each), at fold_tau(tau), which also checks tau before the first exp."""
     tau = fold_tau(tau)
     total = 0.0
     for sector, which in SECTOR_PRODUCT.items():
-        product = complex(q_product(tau, -1, (RR_MODULUS, RR_RESIDUES[which])))
+        product = complex(q_product(tau, -1, RR_SPECTRUM[which]))
         prefactor = cmath.exp(2j * math.pi * tau * float(CHARACTER_PREFACTOR[sector]))
         total += abs(prefactor / product) ** 2
     return total
@@ -393,14 +397,13 @@ def ode_residual(which: str, order: int = DEFAULT_ORDER,
                  rhs_coefficient: Fraction = Fraction(11, 3600)) -> FracQSeries:
     """LHS - RHS of (q d/dq - 1/6 E2) q d/dq Z = (11/3600) E4 Z.
 
-    Z is the character of the sector whose product is `which` (G or H); the
-    residual must vanish identically.
+    Z is the character of the sector whose product is `which` (G or H), the oscillator
+    series of its RR_SPECTRUM; the residual must vanish identically.
     A different rhs_coefficient deliberately breaks the equation (probe).
     """
-    sector = next((s for s, w in SECTOR_PRODUCT.items() if w == which), None)
-    if sector is None:
+    if which not in RR_SPECTRUM:
         raise ValueError("which must be 'G' or 'H'")
-    z = FracQSeries.from_ints(CHARACTER_PREFACTOR[sector], *rr_product(which, order).numerators())
+    z = oscillator_partition_series(RR_SPECTRUM[which], order)
     dz = z.q_derivative()
     lhs = serre_derivative(dz, 2)
     rhs = rhs_coefficient * (eisenstein(4, order) * z)

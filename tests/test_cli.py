@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 
 import qcft
-from qcft import boson, partitions, special, virasoro
+from qcft import boson, partitions, regularization, special, virasoro
 from qcft.checks import GROUPS, run_all, run_group
 from qcft.cli import _parse_progressions, build_parser, main
 from qcft.config import RunConfig, load_config
 from qcft.errors import ConfigParse, GoldenMismatch, OrderTooLarge
 from qcft.reports import CheckReport, compare_golden, reports_to_bytes, write_golden
-from qcft.series import MAX_ORDER, FracQSeries
+from qcft.series import MAX_ORDER
 
 GOLDEN_EXACT = Path(__file__).parent / "data" / "golden_exact.json"
 # sha256 of golden_exact.json as pinned before the rr.partition_oracle records: 42 records
@@ -155,15 +155,16 @@ def test_exact_report_matches_pinned_golden():
 
 
 def test_failing_exact_checks_say_where(monkeypatch):
-    real = special.rr_product
+    # the one product builder that the rr products and the ODE's characters both read
+    real = special.euler_product
 
-    def corrupted(which, order):
-        coeffs = list(real(which, order).coeffs)
+    def corrupted(exponents, sign, order):
+        coeffs = real(exponents, sign, order)
         coeffs[7] += 1
-        return FracQSeries(0, coeffs)
+        return coeffs
 
-    monkeypatch.setattr(special, "rr_product", corrupted)
-    monkeypatch.setattr(virasoro, "rr_product", corrupted)
+    monkeypatch.setattr(special, "euler_product", corrupted)
+    monkeypatch.setattr(regularization, "euler_product", corrupted)
     cfg = RunConfig(order=40)
     rr = {r.name: r for r in run_group("rr", cfg)}
     for which in "GH":
@@ -378,6 +379,32 @@ def test_mock_terms_flag(capsys):
     records = json.loads(capsys.readouterr().out)
     ext = [r for r in records if "values" in (r.get("details") or {})]
     assert ext and ext[0]["details"]["values"] == [-1, 45, 231, 770]
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--terms", "0"], ["casimir", "--terms", "5"], ["all", "--terms", "5"],
+    ["mock", "--progressions", "5:1"], ["series", "--progressions", "zero"],
+    ["all", "--progressions", "5:1,4"]], ids=" ".join)
+def test_group_flags_on_another_subcommand_exit_2_before_any_group_runs(
+        argv, capsys, monkeypatch):
+    # --terms feeds only mock and --progressions only casimir; `all` is another subcommand
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group ran")
+
+    monkeypatch.setattr(qcft.checks, "run_group", refuse)
+    monkeypatch.setattr(qcft.checks, "run_all", refuse)
+    assert main([*argv, *ORDER_ARGS]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("qcft: configuration error: ")
+    assert "applies only to" in captured.err
+
+
+def test_mock_without_terms_keeps_its_default(capsys, monkeypatch):
+    # no --terms passes no n_terms, so check_mock's own default of 5 holds
+    seen = []
+    monkeypatch.setattr(qcft.checks, "run_group", lambda name, cfg, **kw: seen.append(kw) or [])
+    assert main(["mock", *ORDER_ARGS]) == 0 and main(["casimir", *ORDER_ARGS]) == 0
+    assert seen == [{}, {}]
 
 
 @pytest.mark.parametrize("terms", ["0", "-3"])

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcft import checks, regularization, special, virasoro
+from qcft.config import RunConfig
 from qcft.errors import InvalidProgression
 from qcft.regularization import (ArithmeticProgressionSet, casimir_exponent,
                                  critical_dimension, hurwitz_sum, naive_defect,
@@ -72,6 +74,27 @@ def test_casimir_exponents():
     assert casimir_exponent(rr_g) == F(-1, 60)
     assert casimir_exponent(rr_h) == F(11, 60)
     assert casimir_exponent(full) == F(-1, 24)
+
+
+def test_rr_spectra_are_declared_once_and_give_the_prefactors():
+    # the set regularization re-imports is special's, and the (2,5) prefactors are
+    # the Casimir sums of its Rogers-Ramanujan spectra
+    assert ArithmeticProgressionSet is special.ArithmeticProgressionSet
+    assert special.RR_SPECTRUM == {"G": ArithmeticProgressionSet([(5, 1), (5, 4)]),
+                                   "H": ArithmeticProgressionSet([(5, 2), (5, 3)])}
+    assert virasoro.CHARACTER_PREFACTOR == {"V0": F(11, 60), "Vm15": F(-1, 60)}
+
+
+def test_a_hurwitz_fault_fails_the_casimir_identities(monkeypatch):
+    # the record sums the spectra when it runs, so a wrong closed form reaches it
+    def identities():
+        reports = checks.check_minimal_model(RunConfig(order=40, exact_only=True))
+        return next(r for r in reports if r.name == "minimal.casimir_identities")
+
+    assert identities().passed and identities().details is None
+    monkeypatch.setattr(regularization, "hurwitz_sum",
+                        lambda p, r: F(r * (p - r), 2 * p) - F(1, 12))   # p/12 -> 1/12
+    assert not identities().passed
 
 
 def test_members_merge_sorted():

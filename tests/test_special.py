@@ -363,10 +363,41 @@ def test_q_product_matches_sequential_product():
 def test_residue_filter_gives_rogers_ramanujan_products():
     # 1 / prod (1 - q^n) over n = +-1 or +-2 mod 5 against the exact G and H series
     for tau in (0.11 + 0.92j, -0.7 + 0.4j, 1.3 + 1.5j):
-        for which, residues in special.RR_RESIDUES.items():
-            got = 1 / complex(special.q_product(tau, -1, residues=(special.RR_MODULUS, residues)))
+        for which, spectrum in special.RR_SPECTRUM.items():
+            got = 1 / complex(special.q_product(tau, -1, spectrum=spectrum))
             want = evaluate_series(rr_product(which, 201), tau)
             assert abs(got - want) < 1e-13 * abs(want), (tau, which)
+
+
+# each product declared once, by its spectrum and sign: exact, and evaluated numerically
+TWINS = {
+    "G": (special.RR_SPECTRUM["G"], -1),
+    "H": (special.RR_SPECTRUM["H"], -1),
+    "all n, -1": (regularization.ArithmeticProgressionSet([(1, 1)]), -1),
+    "all n, +1": (regularization.ArithmeticProgressionSet([(1, 1)]), 1),
+}
+TWIN_TAUS = (0.3j, 0.41 + 0.3j, -0.5 + 0.35j, 0.17 + 0.5j, -1.3 + 0.72j, 0.5 + 1.0j,
+             2.7 + 1.6j, -0.08 + 3.1j)
+
+
+def _twin_gap(spectrum, sign):
+    # the exact 1 / prod (1 + sign q^e), prefactor dropped, to order 201: converged to
+    # 1e-16 for Im tau >= 0.03, so it is independent of the numeric cutoff
+    exact = FracQSeries.from_ints(0, euler_product(spectrum.members(201), sign, 201))
+    return max(abs(evaluate_series(exact, tau) * complex(special.q_product(tau, sign, spectrum))
+                   - 1) for tau in TWIN_TAUS)
+
+
+@pytest.mark.parametrize("entry", sorted(TWINS))
+def test_exact_and_numeric_products_agree(entry):
+    assert _twin_gap(*TWINS[entry]) <= 1e-13
+
+
+@pytest.mark.parametrize("entry", sorted(TWINS))
+def test_a_loose_cutoff_parts_the_twins(entry, monkeypatch):
+    # the numeric side alone truncates early, and the gap shows it
+    monkeypatch.setattr(special, "CUTOFF_TARGET", 1e-6)
+    assert _twin_gap(*TWINS[entry]) > 1e-13
 
 
 def test_array_cutoff_follows_smallest_imaginary_part():
@@ -519,9 +550,9 @@ INT_BUILT = {
     "eisenstein 4": (lambda n: eisenstein(4, n),
                      lambda n: FracQSeries(0, _eisenstein_ints(240, 3, n))),
     "rr_product G": (lambda n: rr_product("G", n), lambda n: FracQSeries(
-        0, euler_product(special._rr_parts("G", n), -1, n))),
+        0, euler_product(special.RR_SPECTRUM["G"].members(n), -1, n))),
     "rr_product H": (lambda n: rr_product("H", n), lambda n: FracQSeries(
-        0, euler_product(special._rr_parts("H", n), -1, n))),
+        0, euler_product(special.RR_SPECTRUM["H"].members(n), -1, n))),
     "character_25 V0": (lambda n: virasoro.character_25("V0", n),
                         lambda n: FracQSeries(F(11, 60), _gap_two_counts(n, 2))),
     "character_25 Vm15": (lambda n: virasoro.character_25("Vm15", n),
