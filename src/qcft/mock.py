@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .errors import (RoundingUnstable, ThetaConstantVanishes, ThetaZeroDivision,
                      ZDependenceDetected)
-from .series import rat_str
+from .series import _is_int, rat_str
 from .special import CUTOFF_MARGIN, check_tau, eta_values, fold_tau, theta_table
 
 DEFAULT_Z_LIST = (0.17 + 0.04j, 0.36 - 0.03j, 0.45 + 0.07j)
@@ -241,10 +241,6 @@ def mock_remainder(z: complex, tau: complex, kappa: complex = 24) -> complex:
 # the sampler's time and memory grow as grid: at y0 = 0.15 (the largest cutoff) a grid
 # of MAX_GRID takes about 0.33 s and a 34 MB peak of numpy arrays on a 2-core VM
 MAX_GRID = 2 ** 14
-
-
-def _is_int(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool)
 
 
 def _check_grid(grid) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -96,7 +97,10 @@ class ArithmeticProgressionSet:
     progressions: tuple[tuple[int, int], ...]
 
     def __init__(self, progressions):
-        progs = tuple((int(p), int(r)) for p, r in progressions)
+        try:   # index, not int: 5.5 or 1.7 is an error, not 5 or 1
+            progs = tuple((operator.index(p), operator.index(r)) for p, r in progressions)
+        except TypeError as e:
+            raise InvalidProgression(f"progressions must be pairs of ints: {e}") from None
         if not progs:
             raise InvalidProgression("no progressions")
         for i, (p, r) in enumerate(progs):

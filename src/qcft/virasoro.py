@@ -7,7 +7,8 @@ spectrum's Casimir exponent, and the exact and numeric products read its members
 
 Mode convention: positive modes raise the L_0 weight (L_m maps weight h to
 weight h + m), so a lowest-weight vector |h> is annihilated by every L_{-m}
-with m > 0.  Gram entries are exact polynomials in (c, h).
+with m > 0.  Gram entries are exact polynomials in (c, h), built over the ints in
+C = c/12 and h.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from fractions import Fraction
 from .errors import LevelTooLarge
 from .partitions import PartitionConstraint, count_partitions
 from .regularization import casimir_exponent, oscillator_partition_series
-from .series import DEFAULT_ORDER, FracQSeries
+from .series import DEFAULT_ORDER, FracQSeries, _is_int
 from .special import RR_RESIDUES, RR_SPECTRUM, eisenstein, fold_tau, q_product
 
-# every Gram determinant up to this level is in reach: level 6 (dimension 11) in under 1 s
+# level 6 (dimension 11) is in reach: its matrix takes ~4 ms and its determinant 0.4-0.5 s
 MAX_GRAM_LEVEL = 6
 
 
@@ -49,14 +50,6 @@ class PolyCH:
     @classmethod
     def const(cls, x) -> "PolyCH":
         return cls({(0, 0): Fraction(x)})
-
-    @classmethod
-    def var_c(cls) -> "PolyCH":
-        return cls({(1, 0): Fraction(1)})
-
-    @classmethod
-    def var_h(cls) -> "PolyCH":
-        return cls({(0, 1): Fraction(1)})
 
     def __add__(self, other: "PolyCH") -> "PolyCH":
         out = dict(self.terms)
@@ -151,45 +144,52 @@ def _partitions_of(level: int, min_part: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _act_lowering(m: int, mono: tuple[int, ...], h: PolyCH) -> list[tuple[tuple[int, ...], PolyCH]]:
+IntPoly = dict[tuple[int, int], int]   # {(i, j): the int coefficient of C^i h^j}
+
+
+def _act_lowering(m: int, mono: tuple[int, ...], vacuum: bool
+                  ) -> list[tuple[tuple[int, ...], IntPoly]]:
     """L_{-m} applied to L_{mono[0]} ... L_{mono[-1]} |h>, m > 0.
 
-    Returns monomials of raising modes with polynomial weights; the lowering
-    operator is pushed through by the bracket until it annihilates |h>.
+    Returns monomials of raising modes with weights in Z[C, h], C = c/12, h = 0 in the
+    vacuum module; the lowering operator is pushed through by the bracket until it
+    annihilates |h>.
     """
     if not mono:
         return []
     n1, rest = mono[0], mono[1:]
-    out: list[tuple[tuple[int, ...], PolyCH]] = []
-    for tail, w in _act_lowering(m, rest, h):
-        out.append(((n1,) + tail, w))
-    lin, central = bracket(-m, n1)  # (n1 + m) L_{n1 - m} + central term
-    k = n1 - m
+    out = [((n1,) + tail, w) for tail, w in _act_lowering(m, rest, vacuum)]
+    lin, k = n1 + m, n1 - m   # bracket(-m, n1): (n1 + m) L_{n1 - m}, central if k == 0
     if k > 0:
-        out.append(((k,) + rest, PolyCH.const(lin)))
-    elif k == 0:
-        weight = (h + PolyCH.const(sum(rest))) * lin
-        out.append((rest, weight))
+        out.append(((k,) + rest, {(0, 0): lin}))
+    elif k == 0:   # L_0 on the weight h + sum(rest), and the central term C (m^3 - m)
+        weight = {(0, 0): lin * sum(rest), (1, 0): m ** 3 - m, (0, 1): 0 if vacuum else lin}
+        out.append((rest, {key: v for key, v in weight.items() if v}))
     else:
-        for tail, w in _act_lowering(-k, rest, h):
-            out.append((tail, w * lin))
-    if central != 0:
-        out.append((rest, PolyCH.var_c() * central))
+        out += [(tail, {key: v * lin for key, v in w.items()})
+                for tail, w in _act_lowering(-k, rest, vacuum)]
     return out
 
 
-def _contract(bra: tuple[int, ...], ket: tuple[int, ...], h: PolyCH) -> PolyCH:
-    """<h| adjoint(L_bra ... ) L_ket ... |h> as a polynomial in (c, h)."""
-    state: dict[tuple[int, ...], PolyCH] = {ket: PolyCH.const(1)}
+def _add_product(acc: IntPoly, p: IntPoly, q: IntPoly, sign: int = 1):
+    """acc += sign p q."""
+    for (i1, j1), v1 in p.items():
+        v1 *= sign
+        for (i2, j2), v2 in q.items():
+            k = (i1 + i2, j1 + j2)
+            acc[k] = acc.get(k, 0) + v1 * v2
+
+
+def _contract(bra: tuple[int, ...], ket: tuple[int, ...], vacuum: bool) -> IntPoly:
+    """<h| adjoint(L_bra ... ) L_ket ... |h> in Z[C, h], C = c/12."""
+    state: dict[tuple[int, ...], IntPoly] = {ket: {(0, 0): 1}}
     for m in bra:
-        nxt: dict[tuple[int, ...], PolyCH] = {}
+        nxt: dict[tuple[int, ...], IntPoly] = {}
         for mono, coef in state.items():
-            for mono2, w in _act_lowering(m, mono, h):
-                cur = nxt.get(mono2)
-                add = coef * w
-                nxt[mono2] = add if cur is None else cur + add
-        state = {k: v for k, v in nxt.items() if not v.is_zero()}
-    return state.get((), PolyCH())
+            for mono2, w in _act_lowering(m, mono, vacuum):
+                _add_product(nxt.setdefault(mono2, {}), coef, w)
+        state = {k: v for k, v in nxt.items() if any(v.values())}
+    return state.get((), {})
 
 
 @dataclass(frozen=True)
@@ -217,23 +217,18 @@ class VermaGram:
         n = self.dimension
         d = math.lcm(*(v.denominator for row in self.entries for e in row
                        for v in e.terms.values()))
-        minors: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+        minors: dict[int, IntPoly] = {0: {(0, 0): 1}}
         for row in self.entries:
-            scaled = [(j, [(k, v.numerator * (d // v.denominator)) for k, v in e.terms.items()])
+            scaled = [(j, {k: v.numerator * (d // v.denominator) for k, v in e.terms.items()})
                       for j, e in enumerate(row) if e.terms]
-            nxt: dict[int, dict[tuple[int, int], int]] = {}
+            nxt: dict[int, IntPoly] = {}
             for mask, minor in minors.items():
                 for j, entry in scaled:
                     if mask >> j & 1:
                         continue
                     # (-1)^(columns of the mask right of j) is the cofactor sign
                     sign = -1 if (mask >> j).bit_count() & 1 else 1
-                    acc = nxt.setdefault(mask | 1 << j, {})
-                    for (i1, j1), v1 in entry:
-                        v1 *= sign
-                        for (i2, j2), v2 in minor.items():
-                            k = (i1 + i2, j1 + j2)
-                            acc[k] = acc.get(k, 0) + v1 * v2
+                    _add_product(nxt.setdefault(mask | 1 << j, {}), entry, minor, sign)
             minors = {m: p for m, p in nxt.items() if any(p.values())}
         scale = d ** n
         return PolyCH({k: Fraction(v, scale) for k, v in minors.get((1 << n) - 1, {}).items()})
@@ -252,9 +247,10 @@ class VermaGram:
 
 def gram_matrix(level: int, vacuum: bool = False) -> VermaGram:
     """Gram matrix at a given level; the vacuum module restricts parts to >= 2."""
+    if not _is_int(level):
+        raise ValueError(f"level {level!r} is not an int")
     if not (1 <= level <= MAX_GRAM_LEVEL):
         raise LevelTooLarge(f"level {level} outside 1..{MAX_GRAM_LEVEL}")
-    h = PolyCH() if vacuum else PolyCH.var_h()
     basis = tuple(_partitions_of(level, 2 if vacuum else 1))
     entries = []
     for i, mu in enumerate(basis):
@@ -262,8 +258,9 @@ def gram_matrix(level: int, vacuum: bool = False) -> VermaGram:
         for j, lam in enumerate(basis):
             if j < i:
                 row.append(entries[j][i])  # symmetric
-            else:
-                row.append(_contract(mu, lam, h))
+            else:   # v C^i h^j = v / 12^i c^i h^j
+                row.append(PolyCH({(ci, hj): Fraction(v, 12 ** ci)
+                                   for (ci, hj), v in _contract(mu, lam, vacuum).items()}))
         entries.append(row)
     return VermaGram(level, vacuum, basis, tuple(tuple(r) for r in entries))
 

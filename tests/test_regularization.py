@@ -67,6 +67,13 @@ def test_validation():
         ArithmeticProgressionSet([])
 
 
+@pytest.mark.parametrize("pair", [(5.5, 1), (5, 1.7), (5.0, 1), (5, "1"), (F(5), 1)])
+def test_non_int_progressions_raise(pair):
+    """p and r are taken by operator.index, so (5.5, 1) is not read as (5, 1)."""
+    with pytest.raises(InvalidProgression, match="pairs of ints"):
+        ArithmeticProgressionSet([(5, 4), pair])
+
+
 def test_casimir_exponents():
     rr_g = ArithmeticProgressionSet([(5, 1), (5, 4)])
     rr_h = ArithmeticProgressionSet([(5, 2), (5, 3)])

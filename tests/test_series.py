@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcft import series
 from qcft.errors import NonAlignablePrefactor, OrderTooLarge, ZeroLeadingCoefficient
-from qcft.partitions import unrestricted_p
-from qcft.series import MAX_ORDER, FracQSeries, check_order, rat
-from qcft.special import dedekind_eta, eisenstein
+from qcft.partitions import PartitionConstraint, count_partitions, unrestricted_p
+from qcft.regularization import oscillator_partition_series
+from qcft.series import (KRONECKER_MAX_SLOT, KRONECKER_MIN_ORDER, MAX_ORDER, FracQSeries,
+                         check_order, rat)
+from qcft.special import RR_SPECTRUM, dedekind_eta, eisenstein
 from qcft.virasoro import ode_residual
 
 
@@ -181,6 +184,91 @@ def test_invert_matches_fraction_recurrence(f):
     inv = f.invert()
     assert inv.prefactor == -f.prefactor
     assert list(inv.coeffs) == fraction_inverse(f.coeffs)
+
+
+# -- the product kernel: Kronecker substitution and the schoolbook loop ---------------
+
+huge = st.integers(-10 ** 30, 10 ** 30)
+KERNEL_COEFFICIENTS = {
+    "signed": st.builds(F, st.integers(-9, 9)),
+    "zero-heavy": st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)),
+                            st.builds(F, st.integers(-3, 3))),
+    "huge": st.builds(F, huge),
+    "rational": st.builds(F, huge, st.sampled_from((1, 3, 7, 60, 10 ** 12 + 39))),
+}
+
+
+@st.composite
+def kernel_series(draw):
+    """Orders 1 to 120, each series with one of KERNEL_COEFFICIENTS and a nonzero,
+    often non-unit, leading term."""
+    n = draw(st.integers(1, 120))
+    tail = draw(st.lists(draw(st.sampled_from(list(KERNEL_COEFFICIENTS.values()))),
+                         min_size=n - 1, max_size=n - 1))
+    head = draw(st.one_of(leading, st.builds(F, huge.filter(bool), st.integers(1, 10 ** 6))))
+    return FracQSeries(draw(prefactors), [head] + tail)
+
+
+@given(kernel_series(), kernel_series())
+@settings(max_examples=120, deadline=None)
+def test_mul_kernel_matches_fraction_schoolbook(f, g):
+    h = f * g
+    assert h.prefactor == f.prefactor + g.prefactor
+    assert list(h.coeffs) == fraction_product(f.coeffs, g.coeffs)
+
+
+def packed_widths(monkeypatch) -> list[int]:
+    """The slot widths, in bits, of every Kronecker operand packed from now on."""
+    widths, pack = [], series._pack
+    monkeypatch.setattr(series, "_pack", lambda x, nb, ones: widths.append(8 * nb) or
+                        pack(x, nb, ones))
+    return widths
+
+
+def int_product(a, b):
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def test_product_packs_from_the_order_floor_up_to_the_slot_cap(monkeypatch):
+    widths = packed_widths(monkeypatch)
+    for n, packs in ((KRONECKER_MIN_ORDER - 1, False), (KRONECKER_MIN_ORDER, True)):
+        a, b = [(-1) ** k * 9 for k in range(n)], [k % 7 - 3 for k in range(n)]
+        widths.clear()
+        assert series._product(a, b, n) == int_product(a, b)
+        assert bool(widths) == packs, n
+    # w = bitlen(max|a|) + bitlen(max|b|) + bitlen(n) + 2, rounded up to whole bytes
+    n = 64
+    for bits, packs in ((KRONECKER_MAX_SLOT - 3 - n.bit_length(), True),
+                        (KRONECKER_MAX_SLOT - 2 - n.bit_length(), False)):
+        a, b = [-(2 ** (bits - 1))] + [3] * (n - 1), [(-1) ** k for k in range(n)]
+        widths.clear()
+        assert series._product(a, b, n) == int_product(a, b)
+        assert widths == ([KRONECKER_MAX_SLOT] * 2 if packs else []), bits
+
+
+@pytest.mark.parametrize("n", [24, 25, 63, 64, 65, 127, 128, 201, 255])
+@pytest.mark.parametrize("sa,sb", [(1, 1), (1, -1), (-1, -1)])
+def test_slots_hold_the_extreme_coefficients(n, sa, sb, monkeypatch):
+    """Every coefficient at +-(2^bits - 1) takes c_{n-1} to n max|a| max|b|, the bound the
+    slot width is proven for; the raw width takes every residue mod 8, so that the
+    rounding up to whole bytes leaves no spare bit in some case."""
+    widths = packed_widths(monkeypatch)
+    for bits_a in (1, 5, 13):
+        for bits_b in range(1, 17):
+            ma, mb = 2 ** bits_a - 1, 2 ** bits_b - 1
+            want = [(k + 1) * sa * sb * ma * mb for k in range(n)]
+            assert series._product([sa * ma] * n, [sb * mb] * n, n) == want, (bits_a, bits_b)
+    assert len(widths) == 2 * 3 * 16
+
+
+@pytest.mark.parametrize("which", ["G", "H"])
+def test_ode_residual_at_order_1601_is_the_same_by_either_path(which, monkeypatch):
+    z = oscillator_partition_series(RR_SPECTRUM[which], 1601)
+    packed = (ode_residual(which, 1601), eisenstein(4, 1601) * z)
+    monkeypatch.setattr(series, "KRONECKER_MIN_ORDER", MAX_ORDER + 1)
+    schoolbook = (ode_residual(which, 1601), eisenstein(4, 1601) * z)
+    assert packed == schoolbook and packed[0].is_zero()
 
 
 # -- the int pair and the Fraction view ------------------------------------------------
@@ -470,6 +558,20 @@ def test_orders_above_max_order_raise(name, order):
     else:
         with pytest.raises(ValueError, match=f"order {order} < 1"):
             ORDER_ENTRIES[name](order)
+
+
+# each entry point takes its order or n_max as given here, so a bool reaches it unchanged
+NON_INT_ENTRIES = {**ORDER_ENTRIES, "unrestricted_p": unrestricted_p,
+                   "count_partitions": lambda n: count_partitions(n, PartitionConstraint())}
+
+
+@pytest.mark.parametrize("value", [10.0, 2.0, True, False, F(3), "3"])
+@pytest.mark.parametrize("name", list(NON_INT_ENTRIES))
+def test_orders_that_are_not_ints_raise(name, value):
+    """Anything but an int, a bool included, is a ValueError before anything is allocated:
+    10.0 is not truncated to 10, and True does not run as order 1."""
+    with pytest.raises(ValueError, match="int"):
+        NON_INT_ENTRIES[name](value)
 
 
 def test_max_order_itself_is_accepted():

@@ -150,6 +150,52 @@ def test_gram_level_bounds():
         gram_matrix(0)
     with pytest.raises(LevelTooLarge):
         gram_matrix(7)
+    for level in (2.0, True, F(3), "3"):   # not truncated, and True is not level 1
+        with pytest.raises(ValueError, match="not an int"):
+            gram_matrix(level)
+
+
+# -- the Gram build over Fractions: the bracket on PolyCH values, entry by entry ----------
+
+def fraction_act_lowering(m, mono, h):
+    """L_{-m} L_{mono[0]} ... |h> with PolyCH weights: the lowering mode is pushed
+    through by bracket() until it annihilates |h>."""
+    if not mono:
+        return []
+    n1, rest = mono[0], mono[1:]
+    out = [((n1,) + tail, w) for tail, w in fraction_act_lowering(m, rest, h)]
+    lin, central = bracket(-m, n1)
+    k = n1 - m
+    if k > 0:
+        out.append(((k,) + rest, PolyCH.const(lin)))
+    elif k == 0:
+        out.append((rest, (h + PolyCH.const(sum(rest))) * lin))
+    else:
+        out += [(tail, w * lin) for tail, w in fraction_act_lowering(-k, rest, h)]
+    if central != 0:
+        out.append((rest, PolyCH({(1, 0): central})))
+    return out
+
+
+def fraction_contract(bra, ket, h):
+    state = {ket: PolyCH.const(1)}
+    for m in bra:
+        nxt = {}
+        for mono, coef in state.items():
+            for mono2, w in fraction_act_lowering(m, mono, h):
+                nxt[mono2] = nxt.get(mono2, PolyCH()) + coef * w
+        state = {k: v for k, v in nxt.items() if not v.is_zero()}
+    return state.get((), PolyCH())
+
+
+@pytest.mark.parametrize("vacuum", [False, True], ids=["generic", "vacuum"])
+@pytest.mark.parametrize("level", range(1, 7))
+def test_gram_entries_over_z_c_h_match_the_fraction_build(level, vacuum):
+    g = gram_matrix(level, vacuum)
+    h = PolyCH() if vacuum else PolyCH({(0, 1): F(1)})
+    for i, mu in enumerate(g.basis):
+        for j, lam in enumerate(g.basis):
+            assert g.entries[i][j].terms == fraction_contract(mu, lam, h).terms, (mu, lam)
 
 
 def partition_number(n):
