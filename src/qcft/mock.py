@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .errors import (RoundingUnstable, ThetaConstantVanishes, ThetaZeroDivision,
                      ZDependenceDetected)
-from .series import _is_int, rat_str
+from .series import is_int, rat_str
 from .special import CUTOFF_MARGIN, check_tau, eta_values, fold_tau, theta_table
 
 DEFAULT_Z_LIST = (0.17 + 0.04j, 0.36 - 0.03j, 0.45 + 0.07j)
@@ -245,7 +245,7 @@ MAX_GRID = 2 ** 14
 
 def _check_grid(grid) -> int:
     """grid itself if it is an int power of two in [64, MAX_GRID], else ValueError."""
-    if not (_is_int(grid) and 64 <= grid <= MAX_GRID and grid & (grid - 1) == 0):
+    if not (is_int(grid) and 64 <= grid <= MAX_GRID and grid & (grid - 1) == 0):
         raise ValueError(f"grid = {grid!r}: need an int power of two in [64, {MAX_GRID}]")
     return grid
 
@@ -253,7 +253,7 @@ def _check_grid(grid) -> int:
 def _check_n_terms(n_terms, grid: int) -> int:
     """n_terms itself if it is an int in [1, grid // 2], else ValueError: past grid // 2
     the FFT's modes are the aliases of negative frequencies."""
-    if not (_is_int(n_terms) and 1 <= n_terms <= grid // 2):
+    if not (is_int(n_terms) and 1 <= n_terms <= grid // 2):
         raise ValueError(f"n_terms = {n_terms!r}: need an int in [1, {grid // 2}] at grid {grid}")
     return n_terms
 

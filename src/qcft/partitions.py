@@ -25,7 +25,7 @@ from math import ceil, log, pi, sqrt
 from . import special
 from .errors import ConflictingConstraint
 from .reports import CheckReport
-from .series import _is_int, check_order
+from .series import check_order, is_int
 
 ENUMERATION_LIMIT = 60
 #: Largest n_max gordon_check accepts: one call with k = 4 at this bound takes
@@ -241,7 +241,7 @@ def _dp_window(n_max: int, c: PartitionConstraint) -> list[int]:
 def count_partitions(n_max: int, c: PartitionConstraint) -> CountTable:
     """Counts for 0 <= n <= n_max by the DP alone; the enumeration oracle runs
     only in checks.check_rr, as the rr.partition_oracle records."""
-    if not _is_int(n_max) or n_max < 0:
+    if not is_int(n_max) or n_max < 0:
         raise ValueError(f"n_max = {n_max!r}: need an int >= 0")
     check_order(n_max + 1)
     return CountTable(_dp_counts(n_max, c))
@@ -252,7 +252,7 @@ def count_partitions(n_max: int, c: PartitionConstraint) -> CountTable:
 def unrestricted_p(n_max: int) -> CountTable:
     """p(n) by Euler's pentagonal number recurrence, p(n) = -sum (-1)^k p(n - g) over
     the g <= n of special.pentagonal: the coefficients of 1 / prod (1 - q^n)."""
-    if not _is_int(n_max):
+    if not is_int(n_max):
         raise ValueError(f"n_max = {n_max!r}: need an int")
     p = [1] + [0] * (check_order(n_max + 1) - 1)
     terms = list(special.pentagonal(n_max))

@@ -35,12 +35,6 @@ MAX_ORDER = 4096
 #: near order 20; at 24 the kernel is 10-20% faster, and at 48 twice as fast.
 KRONECKER_MIN_ORDER = 24
 
-#: ... and slots up to this many bits wide.  When one operand is small or the coefficients
-#: grow along the series, the kernel ties the loop near w = 200 at order 24, 300 at 64 and
-#: 450 at 201, and is 5x slower at 24 and 3x at 201 with w = 1000.  The report's products
-#: have w <= 200, at order 4096 too.
-KRONECKER_MAX_SLOT = 256
-
 RationalLike = Union[Fraction, int, str]
 
 
@@ -54,7 +48,8 @@ def rat(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
-def _is_int(n) -> bool:
+def is_int(n) -> bool:
+    """The one test of an int argument (an order, a level, a count): a bool is not one."""
     return isinstance(n, int) and not isinstance(n, bool)
 
 
@@ -62,7 +57,7 @@ def check_order(order: int) -> int:
     """order itself if it is an int with 1 <= order <= MAX_ORDER: ValueError for anything
     else but an int (a bool too) and below 1, OrderTooLarge above MAX_ORDER.  Every
     order-taking entry point calls it before it allocates anything of that size."""
-    if not _is_int(order):
+    if not is_int(order):
         raise ValueError(f"order {order!r} is not an int")
     if order < 1:
         raise ValueError(f"order {order} < 1")
@@ -278,12 +273,12 @@ def _product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     coefficient, the ints are multiplied once and the slots are read back.  With w the
     whole bytes that hold bitlen(max|a|) + bitlen(max|b|) + bitlen(n) + 2 bits, every
     |c_k| <= n max|a| max|b| < 2^(w-2): no slot overflows, and 2^(w-1) added to each slot
-    makes every digit nonnegative.  Outside the KRONECKER_ bounds the loop is faster."""
-    if n >= KRONECKER_MIN_ORDER:   # below the floor, not even the widths are read
-        a, b = a[:n], b[:n]
-        nb = (max(map(int.bit_length, a)) + max(map(int.bit_length, b)) + n.bit_length() + 9) >> 3
-    if n < KRONECKER_MIN_ORDER or (w := nb << 3) > KRONECKER_MAX_SLOT:   # w in whole bytes
+    makes every digit nonnegative.  Below KRONECKER_MIN_ORDER the loop is faster."""
+    if n < KRONECKER_MIN_ORDER:
         return [sum(map(mul, a, b[k::-1])) for k in range(n)]   # map stops at k + 1 terms
+    a, b = a[:n], b[:n]
+    nb = (max(map(int.bit_length, a)) + max(map(int.bit_length, b)) + n.bit_length() + 9) >> 3
+    w = nb << 3   # in whole bytes
     ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * n, "little")   # 1 in every slot
     bias = ones << (w - 1)
     p = (_pack(a, nb, ones) * _pack(b, nb, ones) + bias) & ((1 << n * w) - 1)

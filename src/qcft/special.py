@@ -25,13 +25,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import CutoffTooLarge, InvalidProgression, NotInUpperHalfPlane
-from .series import DEFAULT_ORDER, FracQSeries, check_order
+from .series import DEFAULT_ORDER, FracQSeries, check_order, is_int
 
 
 def divisor_sums(k: int, n_max: int) -> list[int]:
@@ -97,10 +96,9 @@ class ArithmeticProgressionSet:
     progressions: tuple[tuple[int, int], ...]
 
     def __init__(self, progressions):
-        try:   # index, not int: 5.5 or 1.7 is an error, not 5 or 1
-            progs = tuple((operator.index(p), operator.index(r)) for p, r in progressions)
-        except TypeError as e:
-            raise InvalidProgression(f"progressions must be pairs of ints: {e}") from None
+        progs = tuple((p, r) for p, r in progressions)
+        if not all(is_int(p) and is_int(r) for p, r in progs):   # 5.5 is not read as 5
+            raise InvalidProgression(f"progressions must be pairs of ints: {progs}")
         if not progs:
             raise InvalidProgression("no progressions")
         for i, (p, r) in enumerate(progs):

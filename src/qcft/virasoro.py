@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import LevelTooLarge
 from .partitions import PartitionConstraint, count_partitions
 from .regularization import casimir_exponent, oscillator_partition_series
-from .series import DEFAULT_ORDER, FracQSeries, _is_int
+from .series import DEFAULT_ORDER, FracQSeries, is_int
 from .special import RR_RESIDUES, RR_SPECTRUM, eisenstein, fold_tau, q_product
 
 # level 6 (dimension 11) is in reach: its matrix takes ~4 ms and its determinant 0.4-0.5 s
@@ -33,8 +33,13 @@ def bracket(m: int, n: int) -> tuple[int, Fraction]:
 
     Returns (coefficient of L_{m+n}, coefficient of c).
     """
-    central = Fraction(n ** 3 - n, 12) if m + n == 0 else Fraction(0)
-    return n - m, central
+    lin, central = _bracket_c12(m, n)
+    return lin, Fraction(central, 12)
+
+
+def _bracket_c12(m: int, n: int) -> tuple[int, int]:
+    """bracket(m, n) with the central term over C = c/12: both coefficients are ints."""
+    return n - m, n ** 3 - n if m + n == 0 else 0
 
 
 # -- bivariate polynomials in (c, h) ------------------------------------------
@@ -159,11 +164,12 @@ def _act_lowering(m: int, mono: tuple[int, ...], vacuum: bool
         return []
     n1, rest = mono[0], mono[1:]
     out = [((n1,) + tail, w) for tail, w in _act_lowering(m, rest, vacuum)]
-    lin, k = n1 + m, n1 - m   # bracket(-m, n1): (n1 + m) L_{n1 - m}, central if k == 0
+    lin, central = _bracket_c12(-m, n1)   # lin L_k, and C central if k == 0
+    k = n1 - m
     if k > 0:
         out.append(((k,) + rest, {(0, 0): lin}))
-    elif k == 0:   # L_0 on the weight h + sum(rest), and the central term C (m^3 - m)
-        weight = {(0, 0): lin * sum(rest), (1, 0): m ** 3 - m, (0, 1): 0 if vacuum else lin}
+    elif k == 0:   # L_0 on the weight h + sum(rest), and the central term
+        weight = {(0, 0): lin * sum(rest), (1, 0): central, (0, 1): 0 if vacuum else lin}
         out.append((rest, {key: v for key, v in weight.items() if v}))
     else:
         out += [(tail, {key: v * lin for key, v in w.items()})
@@ -247,7 +253,7 @@ class VermaGram:
 
 def gram_matrix(level: int, vacuum: bool = False) -> VermaGram:
     """Gram matrix at a given level; the vacuum module restricts parts to >= 2."""
-    if not _is_int(level):
+    if not is_int(level):
         raise ValueError(f"level {level!r} is not an int")
     if not (1 <= level <= MAX_GRAM_LEVEL):
         raise LevelTooLarge(f"level {level} outside 1..{MAX_GRAM_LEVEL}")

@@ -67,9 +67,9 @@ def test_validation():
         ArithmeticProgressionSet([])
 
 
-@pytest.mark.parametrize("pair", [(5.5, 1), (5, 1.7), (5.0, 1), (5, "1"), (F(5), 1)])
+@pytest.mark.parametrize("pair", [(5.5, 1), (5, 1.7), (5.0, 1), (5, "1"), (F(5), 1), (5, True)])
 def test_non_int_progressions_raise(pair):
-    """p and r are taken by operator.index, so (5.5, 1) is not read as (5, 1)."""
+    """p and r must pass series.is_int, so (5.5, 1) is not read as (5, 1), nor True as 1."""
     with pytest.raises(InvalidProgression, match="pairs of ints"):
         ArithmeticProgressionSet([(5, 4), pair])
 

@@ -14,7 +14,7 @@ from qcft import series
 from qcft.errors import NonAlignablePrefactor, OrderTooLarge, ZeroLeadingCoefficient
 from qcft.partitions import PartitionConstraint, count_partitions, unrestricted_p
 from qcft.regularization import oscillator_partition_series
-from qcft.series import (KRONECKER_MAX_SLOT, KRONECKER_MIN_ORDER, MAX_ORDER, FracQSeries,
+from qcft.series import (KRONECKER_MIN_ORDER, MAX_ORDER, FracQSeries,
                          check_order, rat)
 from qcft.special import RR_SPECTRUM, dedekind_eta, eisenstein
 from qcft.virasoro import ode_residual
@@ -230,21 +230,20 @@ def int_product(a, b):
     return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
 
 
-def test_product_packs_from_the_order_floor_up_to_the_slot_cap(monkeypatch):
+def test_product_packs_from_the_order_floor_on(monkeypatch):
     widths = packed_widths(monkeypatch)
     for n, packs in ((KRONECKER_MIN_ORDER - 1, False), (KRONECKER_MIN_ORDER, True)):
         a, b = [(-1) ** k * 9 for k in range(n)], [k % 7 - 3 for k in range(n)]
         widths.clear()
         assert series._product(a, b, n) == int_product(a, b)
         assert bool(widths) == packs, n
-    # w = bitlen(max|a|) + bitlen(max|b|) + bitlen(n) + 2, rounded up to whole bytes
+    # w = bitlen(max|a|) + bitlen(max|b|) + bitlen(n) + 2, rounded up to whole bytes,
+    # however wide: 1000 + 1 + 7 + 2 bits take 1016-bit slots
     n = 64
-    for bits, packs in ((KRONECKER_MAX_SLOT - 3 - n.bit_length(), True),
-                        (KRONECKER_MAX_SLOT - 2 - n.bit_length(), False)):
-        a, b = [-(2 ** (bits - 1))] + [3] * (n - 1), [(-1) ** k for k in range(n)]
-        widths.clear()
-        assert series._product(a, b, n) == int_product(a, b)
-        assert widths == ([KRONECKER_MAX_SLOT] * 2 if packs else []), bits
+    a, b = [-(2 ** 999)] + [3] * (n - 1), [(-1) ** k for k in range(n)]
+    widths.clear()
+    assert series._product(a, b, n) == int_product(a, b)
+    assert widths == [1016] * 2
 
 
 @pytest.mark.parametrize("n", [24, 25, 63, 64, 65, 127, 128, 201, 255])
