@@ -95,20 +95,6 @@ class FracQSeries:
     def one(cls, order: int = DEFAULT_ORDER) -> "FracQSeries":
         return cls.from_ints(0, [1] + [0] * (check_order(order) - 1))
 
-    @classmethod
-    def monomial(cls, exponent: RationalLike, order: int = DEFAULT_ORDER) -> "FracQSeries":
-        """q^exponent as a series."""
-        return cls.from_ints(exponent, [1] + [0] * (check_order(order) - 1))
-
-    @classmethod
-    def from_coeff_list(cls, coeffs: Sequence[RationalLike], order: int | None = None,
-                        prefactor: RationalLike = 0) -> "FracQSeries":
-        """Pad or truncate an explicit coefficient list to the given order."""
-        cs = list(coeffs)
-        if order is not None:
-            cs = (cs + [0] * check_order(order))[:order]
-        return cls(prefactor, cs)
-
     # -- basics ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -7,8 +7,8 @@ spectrum's Casimir exponent, and the exact and numeric products read its members
 
 Mode convention: positive modes raise the L_0 weight (L_m maps weight h to
 weight h + m), so a lowest-weight vector |h> is annihilated by every L_{-m}
-with m > 0.  Gram entries are exact polynomials in (c, h), built over the ints in
-C = c/12 and h.
+with m > 0.  Gram entries are exact polynomials kept over the ints in C = c/12 and h,
+and the determinant is expanded there too; PolyCH, in (c, h), is only their printed view.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import LevelTooLarge
 from .partitions import PartitionConstraint, count_partitions
@@ -24,7 +25,8 @@ from .regularization import casimir_exponent, oscillator_partition_series
 from .series import DEFAULT_ORDER, FracQSeries, is_int
 from .special import RR_RESIDUES, RR_SPECTRUM, eisenstein, fold_tau, q_product
 
-# level 6 (dimension 11) is in reach: its matrix takes ~4 ms and its determinant 0.4-0.5 s
+# level 6 (dimension 11) is in reach: its matrix takes ~2.5 ms and its determinant 0.45-0.5 s
+# (2 cores, CPython 3.11)
 MAX_GRAM_LEVEL = 6
 
 
@@ -45,7 +47,9 @@ def _bracket_c12(m: int, n: int) -> tuple[int, int]:
 # -- bivariate polynomials in (c, h) ------------------------------------------
 
 class PolyCH:
-    """Polynomial in the central charge c and the weight h, exact coefficients."""
+    """Polynomial in the central charge c and the weight h, exact coefficients: the
+    printed view of a Gram entry or determinant.  Its ring is PolyCH(), const, + and
+    scalar *, which perfbench/test_perfbench.py builds perturbed determinants with."""
 
     __slots__ = ("terms",)
 
@@ -62,39 +66,11 @@ class PolyCH:
             out[k] = out.get(k, Fraction(0)) + v
         return PolyCH(out)
 
-    def __sub__(self, other: "PolyCH") -> "PolyCH":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return PolyCH(out)
-
-    def __neg__(self) -> "PolyCH":
-        return PolyCH({k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other) -> "PolyCH":
-        if isinstance(other, (int, Fraction)):
-            return PolyCH({k: v * other for k, v in self.terms.items()})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), v1 in self.terms.items():
-            for (i2, j2), v2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return PolyCH(out)
-
-    __rmul__ = __mul__
+    def __mul__(self, scalar) -> "PolyCH":
+        return PolyCH({k: v * scalar for k, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = PolyCH.const(other)
         return isinstance(other, PolyCH) and self.terms == other.terms
-
-    def __hash__(self):
-        if self.terms.keys() <= {(0, 0)}:  # a constant hashes like its value, as it compares
-            return hash(self.terms.get((0, 0), 0))
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def evaluate(self, c, h):
         """Evaluate at numbers (Fractions stay exact, floats go numeric)."""
@@ -198,46 +174,51 @@ def _contract(bra: tuple[int, ...], ket: tuple[int, ...], vacuum: bool) -> IntPo
     return state.get((), {})
 
 
+def _to_c(p: IntPoly) -> PolyCH:
+    """The (c, h) view of a polynomial over Z[C, h]: v C^i h^j = v / 12^i c^i h^j."""
+    return PolyCH({(i, j): Fraction(v, 12 ** i) for (i, j), v in p.items()})
+
+
 @dataclass(frozen=True)
 class VermaGram:
-    """Level-graded Gram matrix of descendants of a lowest-weight vector."""
+    """Level-graded Gram matrix of descendants of a lowest-weight vector: c12 holds its
+    entries over Z[C, h], C = c/12, and entries is their (c, h) view, built on first read."""
 
     level: int
     vacuum: bool
     basis: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[PolyCH, ...], ...]
+    c12: tuple[tuple[IntPoly, ...], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[PolyCH, ...], ...]:
+        return tuple(tuple(_to_c(e) for e in row) for row in self.c12)
 
     def determinant(self) -> PolyCH:
         """Exact determinant by Laplace expansion along the rows, memoized on
         the set of columns used: O(n 2^n) polynomial products, not O(n!).
 
         minors[S] is the determinant of the first |S| rows restricted to the
-        columns in S.  The expansion is division-free over int coefficients:
-        every entry is scaled by one common denominator D, and the result by
-        D^-n.  Dimension 0 is the empty mask, whose minor is 1.
+        columns in S.  The expansion is division-free over Z[C, h], and its result
+        alone is converted to (c, h).  Dimension 0 is the empty mask, whose minor is 1.
         """
         n = self.dimension
-        d = math.lcm(*(v.denominator for row in self.entries for e in row
-                       for v in e.terms.values()))
         minors: dict[int, IntPoly] = {0: {(0, 0): 1}}
-        for row in self.entries:
-            scaled = [(j, {k: v.numerator * (d // v.denominator) for k, v in e.terms.items()})
-                      for j, e in enumerate(row) if e.terms]
+        for row in self.c12:
+            nonzero = [(j, e) for j, e in enumerate(row) if e]
             nxt: dict[int, IntPoly] = {}
             for mask, minor in minors.items():
-                for j, entry in scaled:
+                for j, entry in nonzero:
                     if mask >> j & 1:
                         continue
                     # (-1)^(columns of the mask right of j) is the cofactor sign
                     sign = -1 if (mask >> j).bit_count() & 1 else 1
                     _add_product(nxt.setdefault(mask | 1 << j, {}), entry, minor, sign)
             minors = {m: p for m, p in nxt.items() if any(p.values())}
-        scale = d ** n
-        return PolyCH({k: Fraction(v, scale) for k, v in minors.get((1 << n) - 1, {}).items()})
+        return _to_c(minors.get((1 << n) - 1, {}))
 
     def evaluate(self, c, h) -> list[list]:
         return [[e.evaluate(c, h) for e in row] for row in self.entries]
@@ -258,16 +239,10 @@ def gram_matrix(level: int, vacuum: bool = False) -> VermaGram:
     if not (1 <= level <= MAX_GRAM_LEVEL):
         raise LevelTooLarge(f"level {level} outside 1..{MAX_GRAM_LEVEL}")
     basis = tuple(_partitions_of(level, 2 if vacuum else 1))
-    entries = []
-    for i, mu in enumerate(basis):
-        row = []
-        for j, lam in enumerate(basis):
-            if j < i:
-                row.append(entries[j][i])  # symmetric
-            else:   # v C^i h^j = v / 12^i c^i h^j
-                row.append(PolyCH({(ci, hj): Fraction(v, 12 ** ci)
-                                   for (ci, hj), v in _contract(mu, lam, vacuum).items()}))
-        entries.append(row)
+    entries: list[list[IntPoly]] = []
+    for i, mu in enumerate(basis):   # symmetric: the entries left of the diagonal are read back
+        entries.append([entries[j][i] if j < i else _contract(mu, lam, vacuum)
+                        for j, lam in enumerate(basis)])
     return VermaGram(level, vacuum, basis, tuple(tuple(r) for r in entries))
 
 

@@ -528,7 +528,7 @@ def _gap_two_counts(n, min_part):
 
 def _eta_product(n):
     # eta's own product, a chain of mul_sparse factors: no pentagonal number in it
-    eta = FracQSeries.monomial(F(1, 24), n)
+    eta = FracQSeries.from_ints(F(1, 24), [1] + [0] * (n - 1))
     for m in range(1, n):
         eta = eta.mul_sparse(m, -1)
     return eta
@@ -542,7 +542,7 @@ INT_BUILT_ORDER = 401
 # each constructor, and the same series built through __init__ from its int coefficients
 INT_BUILT = {
     "one": (FracQSeries.one, lambda n: FracQSeries(0, [1] + [0] * (n - 1))),
-    "monomial": (lambda n: FracQSeries.monomial(F(-7, 60), n),
+    "monomial": (lambda n: FracQSeries.from_ints(F(-7, 60), [1] + [0] * (n - 1)),
                  lambda n: FracQSeries(F(-7, 60), [1] + [0] * (n - 1))),
     "dedekind_eta": (dedekind_eta, lambda n: FracQSeries(F(1, 24), _eta_product(n).coeffs)),
     "eisenstein 2": (lambda n: eisenstein(2, n),
