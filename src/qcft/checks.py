@@ -54,16 +54,14 @@ def check_series(cfg: RunConfig) -> list[CheckReport]:
 
 def check_casimir(cfg: RunConfig,
                   progressions: tuple[tuple[int, int], ...] | None = None) -> list[CheckReport]:
-    out = []
     if progressions is not None:
         aps = regularization.ArithmeticProgressionSet(progressions)
         value = regularization.casimir_exponent(aps)
-        out.append(CheckReport("casimir.custom", {"progressions": progressions}, True,
-                               "0/1", {"value": rat_str(value)}, "exact"))
-        return out
+        return [_exact("casimir.custom", {"progressions": progressions}, True,
+                       {"value": rat_str(value)})]
 
-    out.append(_exact("casimir.hurwitz_all_integers", {"p": 1, "r": 1},
-                      regularization.hurwitz_sum(1, 1) == Fraction(-1, 12)))
+    out = [_exact("casimir.hurwitz_all_integers", {"p": 1, "r": 1},
+                  regularization.hurwitz_sum(1, 1) == Fraction(-1, 12))]
     g, h = special.RR_SPECTRUM["G"], special.RR_SPECTRUM["H"]
     pair_g, pair_h = (sum(regularization.hurwitz_sum(p, r) for p, r in s.progressions)
                       for s in (g, h))
@@ -119,9 +117,8 @@ def check_rr(cfg: RunConfig) -> list[CheckReport]:
                                 "first_mismatch", _first_mismatch(oracle, counts, m)))
     for k in (2, 3, 4):
         for i in range(1, k + 1):
-            rep = partitions.gordon_check(k, i, 60)
-            rep.name = f"rr.gordon_k{k}_i{i}"
-            out.append(rep)
+            out.append(_located(f"rr.gordon_k{k}_i{i}", {"k": k, "i": i, "n_max": 60},
+                                "first_mismatch", partitions.gordon_check(k, i, 60)))
     return out
 
 
@@ -177,7 +174,7 @@ def check_gram(cfg: RunConfig) -> list[CheckReport]:
     out.append(_exact("gram.null_vector_charge", {},
                       nv.central_charges == (Fraction(-22, 5),)
                       and nv.tt_remainder_ratio == Fraction(-1, 5),
-                      {"beta": rat_str(nv.beta)}))
+                      {"beta": None if nv.beta is None else rat_str(nv.beta)}))
     det2 = virasoro.gram_matrix(2).determinant().evaluate(Fraction(-22, 5), Fraction(-1, 5))
     out.append(_exact("gram.level2_singular_at_25_weight", {}, det2 == 0))
     out.append(_exact("gram.level4_nonsingular_at_ising", {},

@@ -12,8 +12,8 @@ bits above that bound, so no slot carries into or borrows from the next.  One
 backtracking enumerator applies the raw definition to explicit part lists and
 counts each one, a leaf without a call of its own; it is the oracle, which the
 rr.partition_oracle records compare with the DP to n = 60.  Two independent
-DPs check the Andrews-Gordon identity, one per side.  unrestricted_p counts p(n)
-by Euler's pentagonal number recurrence over special.pentagonal, with no DP.
+DPs count the Andrews-Gordon sides; gordon_check returns where they first differ.
+unrestricted_p counts p(n) by Euler's recurrence over special.pentagonal, with no DP.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from math import ceil, log, pi, sqrt
 
 from . import special
 from .errors import ConflictingConstraint
-from .reports import CheckReport
 from .series import check_order, is_int
 
 ENUMERATION_LIMIT = 60
@@ -283,20 +282,14 @@ def _gordon_constraints(k: int, i: int, n_max: int) -> tuple[PartitionConstraint
             PartitionConstraint(allowed_residues=residues, modulus=m))
 
 
-def gordon_check(k: int, i: int, n_max: int) -> CheckReport:
-    """Andrews-Gordon identity check by two independent DPs, to n_max <= GORDON_LIMIT."""
-    if not (2 <= k and 1 <= i <= k):
-        raise ValueError("need 2 <= k and 1 <= i <= k")
-    if not (0 <= n_max <= GORDON_LIMIT):
-        raise ValueError(f"need 0 <= n_max <= {GORDON_LIMIT}")
+def gordon_check(k: int, i: int, n_max: int) -> int | None:
+    """The first n <= n_max at which the two Andrews-Gordon sides, counted by two
+    independent DPs, differ, or None; n_max <= GORDON_LIMIT."""
+    if not (is_int(k) and is_int(i) and 2 <= k and 1 <= i <= k):
+        raise ValueError(f"need ints 2 <= k and 1 <= i <= k, got k = {k!r}, i = {i!r}")
+    if not (is_int(n_max) and 0 <= n_max <= GORDON_LIMIT):
+        raise ValueError(f"need an int 0 <= n_max <= {GORDON_LIMIT}, got {n_max!r}")
     gaps, congruences = _gordon_constraints(k, i, n_max)
     lhs = _dp_window(n_max, gaps)
     rhs = _dp_counts(n_max, congruences)
-    bad = [(n, lhs[n], rhs[n]) for n in range(n_max + 1) if lhs[n] != rhs[n]]
-    return CheckReport(
-        name="gordon",
-        params={"k": k, "i": i, "n_max": n_max},
-        passed=not bad,
-        residual="0/1" if not bad else str(len(bad)),
-        details={"counterexamples": bad} if bad else None,
-    )
+    return next((n for n in range(n_max + 1) if lhs[n] != rhs[n]), None)

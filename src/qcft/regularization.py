@@ -58,9 +58,7 @@ def twisted_oscillator_series(s: ArithmeticProgressionSet,
     return _product_series(s, order, +1)
 
 
-def critical_dimension() -> int:
-    """Transverse oscillator count forced by a massless level-1 state, plus 2."""
-    vacuum_per_dimension = hurwitz_sum(1, 1) / 2  # -1/24
-    d_t = Fraction(1) / (-vacuum_per_dimension)         # solves 1 + d_t * (-1/24) = 0
-    assert d_t == 24
-    return int(d_t) + 2
+def critical_dimension() -> Fraction:
+    """Transverse oscillator count forced by a massless level-1 state, plus 2: the d_t
+    that solves 1 + d_t * (-1/24) = 0, with -1/24 half the vacuum sum hurwitz_sum(1, 1)."""
+    return 1 / (-hurwitz_sum(1, 1) / 2) + 2

@@ -22,7 +22,7 @@ from functools import cached_property
 from .errors import LevelTooLarge
 from .partitions import PartitionConstraint, count_partitions
 from .regularization import casimir_exponent, oscillator_partition_series
-from .series import DEFAULT_ORDER, FracQSeries, is_int
+from .series import DEFAULT_ORDER, FracQSeries, check_order, is_int
 from .special import RR_RESIDUES, RR_SPECTRUM, eisenstein, fold_tau, q_product
 
 # level 6 (dimension 11) is in reach: its matrix takes ~2.5 ms and its determinant 0.45-0.5 s
@@ -249,38 +249,36 @@ def gram_matrix(level: int, vacuum: bool = False) -> VermaGram:
 @dataclass(frozen=True)
 class NullVectorResult:
     central_charges: tuple[Fraction, ...]
-    beta: Fraction              # null combination (L_2^2 + beta L_4)|0>
-    tt_remainder_ratio: Fraction  # ratio of the regular TT term to d^2 T
+    beta: Fraction | None       # null combination (L_2^2 + beta L_4)|0>
+    tt_remainder_ratio: Fraction | None  # ratio of the regular TT term to d^2 T
 
 
 def null_vector_central_charges() -> NullVectorResult:
     """Central charges at which the level-4 vacuum Gram matrix degenerates.
 
     The determinant factors as c^2 * (linear in c) / const; the c = 0 factors
-    are degenerate (the whole matrix vanishes) and are excluded.
+    are degenerate (the whole matrix vanishes) and are excluded.  What cannot be
+    computed is left out: the charges and beta without a linear factor, beta if L_4|0>
+    has norm 0 at the root, and the ratio if the rows disagree on the null direction.
     """
     g = gram_matrix(4, vacuum=True)
-    det = g.determinant()
-    coeffs = det.c_coefficients()
-    low = min(coeffs)          # multiplicity of the degenerate c = 0 root
+    coeffs = g.determinant().c_coefficients()
+    low = min(coeffs, default=0)   # multiplicity of the degenerate c = 0 root
     reduced = {i - low: v for i, v in coeffs.items()}
     if sorted(reduced) != [0, 1]:
-        raise RuntimeError("expected a linear nontrivial factor in c")
+        return NullVectorResult((), None, None)
     root = -reduced[0] / reduced[1]
     # Null direction beta * L_4 + 1 * L_2^2 at the root.
-    i4 = g.basis.index((4,))
-    i22 = g.basis.index((2, 2))
+    i4, i22 = g.basis.index((4,)), g.basis.index((2, 2))
     g44 = g.entries[i4][i4].evaluate(root, Fraction(0))
     g42 = g.entries[i4][i22].evaluate(root, Fraction(0))
     g22 = g.entries[i22][i22].evaluate(root, Fraction(0))
-    beta = -g42 / g44
-    if g42 * beta + g22 != 0:
-        raise RuntimeError("null direction inconsistent between rows")
+    beta = -g42 / g44 if g44 else None
     # The regular term of the normal-ordered TT product is L_2^2 - L_4 acting
     # on the vacuum (symmetric subtraction of the singular part), while the
     # second derivative of the weight-2 field is 2 L_4.  In the quotient
     # L_2^2 = -beta L_4, so their ratio is (-beta - 1)/2.
-    ratio = (-beta - 1) / 2
+    ratio = (-beta - 1) / 2 if beta is not None and g42 * beta + g22 == 0 else None
     return NullVectorResult((root,), beta, ratio)
 
 
@@ -292,8 +290,9 @@ class MinimalModelLabel:
     q: int
 
     def __post_init__(self):
-        if not (1 < self.p < self.q) or math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"({self.p}, {self.q}) is not a valid minimal-model label")
+        if not (is_int(self.p) and is_int(self.q) and 1 < self.p < self.q
+                and math.gcd(self.p, self.q) == 1):
+            raise ValueError(f"({self.p!r}, {self.q!r}) is not a valid minimal-model label")
 
 
 def central_charge(m: MinimalModelLabel) -> Fraction:
@@ -312,6 +311,8 @@ def minimal_c_eff_scan(bound: int) -> tuple[MinimalModelLabel, Fraction]:
     The label (2,3) has c = 0 and an empty field content, so it is excluded
     from the scan: the minimum is over models with states to count.
     """
+    if not is_int(bound):
+        raise ValueError(f"bound {bound!r} is not an int")
     best: tuple[MinimalModelLabel, Fraction] | None = None
     for p in range(2, bound + 1):
         for q in range(p + 1, bound // p + 1):
@@ -346,7 +347,8 @@ def character_25(sector: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     if sector not in CHARACTER_PREFACTOR:
         raise ValueError("sector must be 'V0' or 'Vm15'")
     min_part = min(RR_RESIDUES[SECTOR_PRODUCT[sector]])
-    counts = count_partitions(order - 1, PartitionConstraint(min_part=min_part, min_gap=2))
+    counts = count_partitions(check_order(order) - 1,
+                              PartitionConstraint(min_part=min_part, min_gap=2))
     return FracQSeries.from_ints(CHARACTER_PREFACTOR[sector], counts.values)
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qcft.boson import (LatticeSpec, boson_partition_function,
+from qcft.boson import (_MAX_SITES, _MAX_SPECTRAL_CUTOFF, LatticeSpec, boson_partition_function,
                         continuum_determinant_ratio, lattice_determinant_ratio,
                         theta_lattice_sum, twisted_boson_partition_function)
 from qcft.errors import NonpositiveRadius, NotInUpperHalfPlane
@@ -206,3 +206,43 @@ def test_mass_validation():
         lattice_determinant_ratio(LatticeSpec((8, 8)), -1.0, 1.0)
     with pytest.raises(ValueError):
         continuum_determinant_ratio((1.0, 1.0), 1.0, 0.0)
+
+
+# each rule is checked before any work: 10^9 sites a side would be 10^18 loop steps, and a
+# cutoff of 10^7 some 10^14 floats
+
+@pytest.mark.parametrize("sites", [(16.5, 16), (16, 16.0), (True, 16), (3, 16),
+                                   (10 ** 9, 10 ** 9), (16, _MAX_SITES + 1)])
+def test_lattice_sites_are_ints_up_to_the_cap(sites):
+    with pytest.raises(ValueError, match="int sites"):
+        LatticeSpec(sites)
+
+
+def test_lattice_sites_at_the_cap_are_accepted():
+    assert LatticeSpec((_MAX_SITES, 4)).sites == (_MAX_SITES, 4)
+
+
+@pytest.mark.parametrize("lengths", [(math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0)])
+def test_side_lengths_are_finite_and_positive(lengths):
+    with pytest.raises(ValueError, match="side lengths"):
+        LatticeSpec((16, 16), lengths)
+    with pytest.raises(ValueError, match="side lengths"):
+        continuum_determinant_ratio(lengths, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("m1,m2", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+def test_masses_are_finite_and_positive(m1, m2):
+    with pytest.raises(ValueError, match="masses"):
+        lattice_determinant_ratio(LatticeSpec((8, 8)), m1, m2)
+    with pytest.raises(ValueError, match="masses"):
+        continuum_determinant_ratio((1.0, 1.0), m1, m2)
+
+
+@pytest.mark.parametrize("cutoff", [10 ** 7, _MAX_SPECTRAL_CUTOFF + 1, -1, 256.0, True])
+def test_continuum_cutoff_is_an_int_up_to_the_cap(cutoff):
+    with pytest.raises(ValueError, match="int cutoff"):
+        continuum_determinant_ratio((1.0, 1.0), 1.0, 2.0, cutoff)
+
+
+def test_continuum_cutoff_at_the_cap_is_accepted():
+    assert 0 < continuum_determinant_ratio((1.0, 1.0), 1.0, 2.0, _MAX_SPECTRAL_CUTOFF) < 1

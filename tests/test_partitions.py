@@ -158,13 +158,13 @@ def test_window_state_does_not_grow_with_k():
         tracemalloc.start()
         try:
             table = count_partitions(n, PartitionConstraint(window=(huge, 2)))
-            report = gordon_check(huge, 1, n)
+            first = gordon_check(huge, 1, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 500_000, huge
         assert table.values == fit
-        assert report.passed and report.residual == gordon_check(n + 1, 1, n).residual
+        assert first is None and gordon_check(n + 1, 1, n) is None
         gaps, congruences = _gordon_constraints(huge, 1, n)
         assert _dp_window(n, gaps) == _dp_window(n, fit_sides[0])
         assert congruences.allowed_residues == fit_sides[1].allowed_residues
@@ -172,8 +172,7 @@ def test_window_state_does_not_grow_with_k():
 
 @pytest.mark.parametrize("k,i", [(2, 1), (2, 2), (3, 1), (3, 3), (4, 2)])
 def test_gordon_identities(k, i):
-    report = gordon_check(k, i, 45)
-    assert report.passed, report.details
+    assert gordon_check(k, i, 45) is None
 
 
 @pytest.mark.parametrize("k,i", GORDON_SHAPES)
@@ -188,18 +187,27 @@ def test_gordon_sides_match_enumeration(k, i):
 
 @pytest.mark.parametrize("k,i", GORDON_SHAPES)
 def test_gordon_identities_by_dp(k, i):
-    report = gordon_check(k, i, 200)
-    assert report.passed, report.details
-    assert report.params["n_max"] == 200
+    assert gordon_check(k, i, 200) is None
 
 
 def test_gordon_argument_validation():
-    with pytest.raises(ValueError):
-        gordon_check(2, 3, 40)
-    with pytest.raises(ValueError):
-        gordon_check(3, 1, GORDON_LIMIT + 1)
-    with pytest.raises(ValueError):
-        gordon_check(3, 1, -1)
+    # out of range, and anything but an int (a bool or an integral float too)
+    for k, i, n_max in [(2, 3, 40), (3, 1, GORDON_LIMIT + 1), (3, 1, -1), (2.5, 1, 10),
+                        (2, 1.0, 10), (2, 1, 10.0), (2, 1, True), (True, 1, 10)]:
+        with pytest.raises(ValueError):
+            gordon_check(k, i, n_max)
+
+
+def test_gordon_check_returns_the_first_differing_n(monkeypatch):
+    real = partitions._dp_window
+
+    def perturbed(n_max, c):
+        counts = real(n_max, c)
+        return [x + (n == 17) for n, x in enumerate(counts)]
+
+    monkeypatch.setattr(partitions, "_dp_window", perturbed)
+    assert gordon_check(3, 1, 60) == 17
+    assert gordon_check(3, 1, 16) is None
 
 
 # -- property test: enumerator against brute force, DP against enumerator ---------------

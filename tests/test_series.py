@@ -17,7 +17,7 @@ from qcft.regularization import oscillator_partition_series
 from qcft.series import (KRONECKER_MIN_ORDER, MAX_ORDER, FracQSeries,
                          check_order, rat)
 from qcft.special import RR_SPECTRUM, dedekind_eta, eisenstein, rr_product
-from qcft.virasoro import ode_residual
+from qcft.virasoro import character_25, ode_residual
 
 
 def poly(*coeffs, prefactor=0, order=None):
@@ -546,6 +546,7 @@ ORDER_ENTRIES = {
     "eisenstein 4": lambda n: eisenstein(4, n),
     "dedekind_eta": dedekind_eta,
     "unrestricted_p": lambda n: unrestricted_p(n - 1),   # n counts, p(0) to p(n - 1)
+    "character_25 V0": lambda n: character_25("V0", n),
 }
 ORDER_CASES = ([(name, MAX_ORDER + 1) for name in list(ORDER_ENTRIES)[:4]]
                + [(name, n) for name in ORDER_ENTRIES for n in (0, -1)])

@@ -77,3 +77,39 @@ def test_every_defined_name_is_used():
     words = Counter(w for p in searched for w in re.findall(r"\w+", p.read_text()))
     defined = Counter(name for p in sources for name in defined_names(p.read_text()))
     assert sorted(name for name, n in defined.items() if words[name] <= n) == []
+
+
+# the library computes and returns values; reports, checks, config and cli judge and
+# print them, so no library module may import one of those four
+LIBRARY = ("series", "special", "partitions", "regularization", "virasoro", "boson", "mock")
+JUDGES = {"reports", "checks", "config", "cli"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The qcft modules a module imports: relatively, or by the package's name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "qcft"):
+            path = (node.module or "").split(".")[0 if node.level else 1:]
+            found.update(path[:1] if path and path[0] else (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("qcft."))
+    return found
+
+
+def test_no_library_module_imports_the_judging_layer():
+    assert package_imports("from .reports import R\nfrom . import checks, series\nimport numpy\n"
+                           "import qcft.config\nfrom qcft.cli import main\nfrom qcft import mock\n"
+                           ) == {"reports", "checks", "series", "config", "cli", "mock"}
+    package = Path(qcft.__file__).parent
+    found = {name: package_imports((package / f"{name}.py").read_text()) & JUDGES
+             for name in LIBRARY}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_the_package_has_no_assert_statement():
+    # a fact the package states is a record of checks, not an assert (which python -O drops)
+    found = {p.name: [node.lineno for node in ast.walk(ast.parse(p.read_text()))
+                      if isinstance(node, ast.Assert)]
+             for p in Path(qcft.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

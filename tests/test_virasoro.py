@@ -17,8 +17,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcft import checks, virasoro
+from qcft.config import RunConfig
 from qcft.errors import LevelTooLarge
-from qcft.series import DEFAULT_ORDER, FracQSeries
+from qcft.series import DEFAULT_ORDER, FracQSeries, rat_str
 from qcft.special import rr_product
 from qcft.virasoro import (CHARACTER_PREFACTOR, MinimalModelLabel, PolyCH, VermaGram,
                            bracket, central_charge, character_25,
@@ -304,6 +306,38 @@ def test_null_vector():
     assert res.tt_remainder_ratio == F(-1, 5)
 
 
+def fake_level4_gram(g44, g42, g22, det=None):
+    """A level-4 vacuum Gram matrix with the given entries over Z[C, h], and optionally
+    a determinant that disagrees with them."""
+    class Fake(VermaGram):
+        def determinant(self):
+            return super().determinant() if det is None else det
+    return Fake(4, True, ((4,), (2, 2)), ((g44, g42), (g42, g22)))
+
+
+LEVEL4_VACUUM = gram_matrix(4, vacuum=True).c12   # over the basis (4,), (2, 2)
+
+
+@pytest.mark.parametrize("gram,want", [
+    # det = C^2: no nontrivial factor, so no charge and no null direction
+    (fake_level4_gram({(1, 0): 1}, {}, {(1, 0): 1}), ((), None, None)),
+    # det = C^2 (1 + C), root C = -1, where L_4|0> has norm C + C^2 = 0
+    (fake_level4_gram({(1, 0): 1, (2, 0): 1}, {}, {(1, 0): 1}), ((F(-12),), None, None)),
+    # the real entries with a determinant whose root (c = -2) is not one of theirs
+    (fake_level4_gram(*LEVEL4_VACUUM[0], LEVEL4_VACUUM[1][1],
+                      PolyCH({(3, 0): F(1), (2, 0): F(2)})), ((F(-2),), F(-3, 5), None)),
+])
+def test_null_vector_leaves_out_what_it_cannot_compute(monkeypatch, gram, want):
+    # each failure is a value, none an exception, and each fails gram.null_vector_charge
+    monkeypatch.setattr(virasoro, "gram_matrix", lambda level, vacuum=False: gram)
+    res = null_vector_central_charges()
+    assert (res.central_charges, res.beta, res.tt_remainder_ratio) == want
+    (record,) = [r.to_record() for r in checks.check_gram(RunConfig())
+                 if r.name == "gram.null_vector_charge"]
+    assert not record["pass"]
+    assert record["details"] == {"beta": None if want[1] is None else rat_str(want[1])}
+
+
 def test_null_vector_is_null_in_oracle():
     # (L_2^2 - 3/5 L_4)|0> has zero norm and zero overlap with both basis states
     c0 = sympy.Rational(-22, 5)
@@ -326,9 +360,16 @@ def test_minimal_model_constants():
 
 
 def test_minimal_model_label_validation():
-    for p, q in [(1, 2), (2, 2), (4, 2), (2, 4), (3, 6)]:
+    for p, q in [(1, 2), (2, 2), (4, 2), (2, 4), (3, 6), (2.0, 5), (2, 5.0), (2, F(5)),
+                 (True, 5), ("2", "5")]:
         with pytest.raises(ValueError):
             MinimalModelLabel(p, q)
+
+
+@pytest.mark.parametrize("bound", [10.5, 100.0, "100", True])
+def test_c_eff_scan_rejects_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(ValueError, match="not an int"):
+        minimal_c_eff_scan(bound)
 
 
 @pytest.mark.parametrize("bound", [5, -1])
