@@ -1,15 +1,20 @@
 """Static registry of named checks behind the CLI and the acceptance suite.
 
-Each group function maps a RunConfig to an ordered list of CheckReports;
-report order is fixed by construction, never by completion order.
+Each group function maps a RunConfig to an ordered list of CheckReports.  run_all runs
+the groups in forked lanes and joins their reports in GROUPS order, so report order is
+fixed by construction, never by completion order or by the lane that ran a group.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
 from fractions import Fraction
 
 from . import boson, mock, partitions, regularization, special, virasoro
 from .config import RunConfig
+from .errors import QcftError
 from .reports import CheckReport
 from .series import FracQSeries, rat_str
 
@@ -71,9 +76,9 @@ def check_casimir(cfg: RunConfig,
     targets = {g: Fraction(-1, 60), h: Fraction(11, 60),
                regularization.ArithmeticProgressionSet([(1, 1)]): Fraction(-1, 24)}
     for aps, expected in targets.items():
+        value = regularization.casimir_exponent(aps)
         out.append(_exact("casimir.exponent", {"progressions": aps.progressions},
-                          regularization.casimir_exponent(aps) == expected,
-                          {"value": rat_str(expected)}))
+                          value == expected, {"value": rat_str(value)}))
 
     defect_ok = all(
         regularization.naive_defect(p, r) == Fraction(-r * r, 2 * p)
@@ -85,9 +90,9 @@ def check_casimir(cfg: RunConfig,
         regularization.ArithmeticProgressionSet([(1, 1)]), n)
     out.append(_exact("casimir.oscillator_is_inverse_eta", {"order": n},
                       osc == special.dedekind_eta(n).invert()))
-    out.append(_exact("casimir.critical_dimension", {},
-                      regularization.critical_dimension() == 26,
-                      {"value": 26}))
+    dim = regularization.critical_dimension()   # printed as an int when it is one
+    out.append(_exact("casimir.critical_dimension", {}, dim == 26,
+                      {"value": dim.numerator if dim.denominator == 1 else rat_str(dim)}))
     return out
 
 
@@ -128,10 +133,9 @@ def check_minimal_model(cfg: RunConfig) -> list[CheckReport]:
     out = []
     cases = {(2, 5): Fraction(-22, 5), (3, 4): Fraction(1, 2), (2, 3): Fraction(0)}
     for (p, q), expected in cases.items():
-        label = virasoro.MinimalModelLabel(p, q)
+        charge = virasoro.central_charge(virasoro.MinimalModelLabel(p, q))
         out.append(_exact("minimal.central_charge", {"p": p, "q": q},
-                          virasoro.central_charge(label) == expected,
-                          {"value": rat_str(expected)}))
+                          charge == expected, {"value": rat_str(charge)}))
     ceff_25 = virasoro.effective_central_charge(virasoro.MinimalModelLabel(2, 5))
     out.append(_exact("minimal.c_eff_25", {}, ceff_25 == Fraction(2, 5)))
     best, ceff = virasoro.minimal_c_eff_scan(100)
@@ -291,7 +295,53 @@ def run_group(name: str, cfg: RunConfig, **kwargs) -> list[CheckReport]:
 
 
 def run_all(cfg: RunConfig) -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    for name in GROUPS:
-        reports.extend(GROUPS[name](cfg))
-    return reports
+    """Every group, in lanes: this process and a forked child per other usable CPU.  Raises
+    the error of the earliest failing group, or a QcftError if a lane died."""
+    names = list(GROUPS)
+
+    def lane() -> dict:
+        """{index: reports or error} of every group this lane claims from the pipe; an
+        error that pickle cannot carry becomes a QcftError naming its group, in any lane."""
+        done = {}
+        for (i,) in iter(lambda: os.read(claims, 1), b""):   # a claim is one index byte
+            try:
+                done[i] = GROUPS[names[i]](cfg)
+            except Exception as e:
+                try:
+                    pickle.loads(pickle.dumps(e))
+                    done[i] = e
+                except Exception:
+                    done[i] = QcftError(f"group {names[i]} raised {type(e).__name__}: {e}")
+        return done
+
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    lanes = max(1, min(len(names), len(usable)))
+    if lanes > 1 and not cfg.exact_only:
+        __import__("numpy")   # once, before the fork, not once per lane
+    claims, w = os.pipe()
+    os.write(w, bytes(range(len(names))))
+    os.close(w)
+    done, children = {}, []   # children: (pid, the child's result pipe)
+    try:
+        for _ in range(lanes - 1):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(w, "wb") as out:
+                        pickle.dump(lane(), out)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        done.update(lane())
+    finally:
+        os.close(claims)
+        for pid, result in children:
+            with result, contextlib.suppress(EOFError, pickle.UnpicklingError):   # a lane died
+                done.update(pickle.load(result))
+            os.waitpid(pid, 0)
+    if missing := [name for i, name in enumerate(names) if i not in done]:
+        raise QcftError(f"a lane died without the results of {', '.join(missing)}")
+    if error := next((done[i] for i in sorted(done) if isinstance(done[i], Exception)), None):
+        raise error
+    return [r for i in sorted(done) for r in done[i]]

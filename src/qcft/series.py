@@ -27,8 +27,8 @@ from .errors import NonAlignablePrefactor, OrderTooLarge, ZeroLeadingCoefficient
 DEFAULT_ORDER = 201
 
 #: Largest order an order-taking entry point accepts.  At 4096, `qcft all --order 4096`
-#: takes about 4.3 s and one ode_residual 0.6 s (CPython 3.11, 2-core x86-64 VM), against
-#: 0.95 s and 0.08 s at 1601.
+#: takes about 2.3 s in two lanes and one ode_residual 0.6 s (CPython 3.11, 2-core x86-64
+#: VM), against 0.95 s and 0.08 s at 1601.
 MAX_ORDER = 4096
 
 #: _product packs from this order on.  With 4- to 100-bit coefficients the two paths tie
