@@ -16,9 +16,9 @@ from .errors import CutoffTooLarge, NonpositiveRadius
 from .series import is_int
 from .special import adaptive_cutoff, check_terms, eta_eval, fold_tau, q_product, theta_table
 
-# caps from measured cost (2 cores, CPython 3.11): a 1024 x 1024 lattice ratio takes ~0.14 s,
-# and a cutoff-2048 continuum sum, (2048 + 1)^2 floats (34 MB), ~0.04 s
-_MAX_SITES, _MAX_SPECTRAL_CUTOFF = 1024, 2048
+# a 1024 x 1024 lattice ratio takes ~0.14 s (2 cores, CPython 3.11); the continuum
+# reference sums |j|, |k| <= SPECTRAL_CUTOFF, (256 + 1)^2 floats (0.5 MB)
+_MAX_SITES, SPECTRAL_CUTOFF = 1024, 256
 
 
 def _finite_positive(what: str, *xs: float):
@@ -96,9 +96,8 @@ def lattice_determinant_ratio(spec: LatticeSpec, m1: float, m2: float) -> float:
     return math.exp(log_ratio)
 
 
-def continuum_determinant_ratio(lengths: tuple[float, float], m1: float, m2: float,
-                                cutoff: int = 256) -> float:
-    """Truncated continuum spectral sum over |j|, |k| <= cutoff.
+def continuum_determinant_ratio(lengths: tuple[float, float], m1: float, m2: float) -> float:
+    """Truncated continuum spectral sum over |j|, |k| <= SPECTRAL_CUTOFF.
 
     The mode sum only converges like a 2d log, so this is a reference value
     at a declared cutoff rather than a limit; lattice ratios approach it as
@@ -106,15 +105,13 @@ def continuum_determinant_ratio(lengths: tuple[float, float], m1: float, m2: flo
     """
     _finite_positive("side lengths", *lengths)
     _finite_positive("masses", m1, m2)
-    if not (is_int(cutoff) and 0 <= cutoff <= _MAX_SPECTRAL_CUTOFF):
-        raise ValueError(f"need an int cutoff, 0 to {_MAX_SPECTRAL_CUTOFF}, got {cutoff!r}")
     import numpy as np
     def fold(a):
         # the summand depends on j only through j^2: the sum over -c..c is
         # twice the sum over 0..c less the j = 0 term
         return 2 * a.sum(axis=0) - a[0]
 
-    n = np.arange(cutoff + 1)
+    n = np.arange(SPECTRAL_CUTOFF + 1)
     lam = np.add.outer((2 * np.pi * n / lengths[0]) ** 2, (2 * np.pi * n / lengths[1]) ** 2)
     # log((lam + m1^2) / (lam + m2^2)) = log1p((m1^2 - m2^2) / (lam + m2^2)), in place
     lam += m2 * m2

@@ -1,10 +1,10 @@
 """Jacobi theta functions, the K3 elliptic genus, Appell-Lerch subtraction,
 and extraction of the integer coefficients of the mock-modular remainder.
 
-The remainder EG * eta^3 / theta_1^2 - 24 * mu is independent of z; sampling
-it on a horizontal tau-grid and Fourier-transforming yields the integer
-sequence (-2, 90, 462, 1540, 4554), reported as (-1, 45, 231, 770, 2277)
-after pulling out the overall scale 2.
+The remainder EG * eta^3 / theta_1^2 - KAPPA * mu, KAPPA = 24 = chi(K3), is independent
+of z; sampling it on a horizontal tau-grid and Fourier-transforming yields the integer
+sequence (-2, 90, 462, 1540, 4554), reported as (-1, 45, 231, 770, 2277) after pulling
+out the overall scale 2.
 
 Every value comes from one numpy kernel that evaluates a whole array of tau
 at fixed z (numpy is imported inside it, so `import qcft` does not load it):
@@ -14,9 +14,9 @@ theta_1..theta_4 at z and at 0, z's exponent table, and on first use the ellipti
 genus and mu(z, z); its remainder() is the one remainder formula, for the
 extraction's rows and for one point alike.
 
-The extraction is a sampler and a reader.  sample_mock_rows(y0, z_list, grid, kappa)
-samples q^{1/8} * remainder at tau = k / grid + i*y0 with one theta_table at z = 0
-and one eta^3 for every row and one theta_table((z,), taus) per z;
+The extraction is a sampler and a reader.  sample_mock_rows(y0, grid) samples
+q^{1/8} * remainder at tau = k / grid + i*y0 with one theta_table at z = 0 and one
+eta^3 for every row and one theta_table((z,), taus) per z of DEFAULT_Z_LIST;
 read_mock_coefficients checks z-independence across the rows to Z_TOLERANCE,
 Fourier-transforms them and rounds.  Each step is elementwise in tau and the cutoffs
 depend only on y0, so the rows at grid // s are the stride rows[:, ::s], bit for bit:
@@ -46,6 +46,8 @@ from .errors import (RoundingUnstable, ThetaConstantVanishes, ThetaZeroDivision,
 from .series import is_int, rat_str
 from .special import CUTOFF_MARGIN, check_tau, eta_values, fold_tau, theta_table
 
+KAPPA = 24   # the copies of mu the remainder subtracts: chi(K3), the elliptic genus at z = 0
+# the z rows of the extraction; each |Im z| is inside CUTOFF_MARGIN * 0.15, the lowest y0
 DEFAULT_Z_LIST = (0.17 + 0.04j, 0.36 - 0.03j, 0.45 + 0.07j)
 # the largest spread across the z rows read_mock_coefficients accepts
 Z_TOLERANCE = 1e-6
@@ -148,8 +150,8 @@ class _Table:
         """mu(z, z), read after _theta1_guard."""
         return _read_only(_mu(self.z, self.z, self.table, self.thetas[0], self.taus))
 
-    def remainder(self, kappa: complex, z: complex, eta3=None):
-        """elliptic_genus * eta^3 / theta_1^2 - kappa * mu(z, z) at each tau, with the
+    def remainder(self, z: complex, eta3=None):
+        """elliptic_genus * eta^3 / theta_1^2 - KAPPA * mu(z, z) at each tau, with the
         eta^3 that rows sharing one tau array pass, else this table's own.  The caller's
         z names the point in an error: a kept table's z may be 0.0 where the caller's is -0.0."""
         theta1 = self.thetas[0]
@@ -157,12 +159,12 @@ class _Table:
         eg = self.eg
         if eta3 is None:
             eta3 = eta_values(self.taus) ** 3
-        return eg * eta3 / theta1 ** 2 - kappa * self.mu
+        return eg * eta3 / theta1 ** 2 - KAPPA * self.mu
 
 
-def _remainder(z: complex, taus, kappa: complex):
+def _remainder(z: complex, taus):
     """The remainder at each tau of an array, from one table of its own."""
-    return _Table(_check_z(z), taus).remainder(kappa, z)
+    return _Table(_check_z(z), taus).remainder(z)
 
 
 # one call reads one or two points; an entry holds up to about 1 MB
@@ -196,7 +198,7 @@ def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
 
     mu = -i * e^{pi i u} / theta_1(v, tau) * sum_n (-1)^n q^{n(n+1)/2} y_v^n / (1 - q^n y_u).
 
-    The -i prefactor is the normalization under which 24 copies subtract
+    The -i prefactor is the normalization under which KAPPA copies subtract
     the elliptic genus to a z-independent remainder.
     """
     u = p.z
@@ -232,10 +234,10 @@ class MockCoefficients:
         }
 
 
-def mock_remainder(z: complex, tau: complex, kappa: complex = 24) -> complex:
-    """elliptic_genus * eta^3 / theta_1^2 - kappa * mu at one point."""
+def mock_remainder(z: complex, tau: complex) -> complex:
+    """elliptic_genus * eta^3 / theta_1^2 - KAPPA * mu at one point."""
     tau = fold_tau(tau)
-    return complex(_point(_check_z(z, tau), tau).remainder(kappa, z)[0])
+    return complex(_point(_check_z(z, tau), tau).remainder(z)[0])
 
 
 # the sampler's time and memory grow as grid: at y0 = 0.15 (the largest cutoff) a grid
@@ -258,12 +260,9 @@ def _check_n_terms(n_terms, grid: int) -> int:
     return n_terms
 
 
-def sample_mock_rows(y0: float = 0.3,
-                     z_list: tuple[complex, ...] = DEFAULT_Z_LIST,
-                     grid: int = 128,
-                     kappa: complex = 24):
+def sample_mock_rows(y0: float = 0.3, grid: int = 128):
     """q^{1/8} * remainder at tau = k / grid + i*y0 for k = 0 .. grid - 1: an array with
-    one row per z of z_list.
+    one row per z of DEFAULT_Z_LIST.
 
     One theta_table at z = 0 and one eta^3 serve every row, and each z builds its own
     theta_table((z,), taus).  k / grid is exact, the cutoffs depend only on y0, and every
@@ -275,16 +274,12 @@ def sample_mock_rows(y0: float = 0.3,
     if not (0.15 <= y0 <= 0.5):
         raise ValueError("y0 outside [0.15, 0.5]")
     _check_grid(grid)
-    if len(set(z_list)) < 3:
-        raise ValueError("need at least 3 distinct z values")
-    for z in z_list:
-        _check_z(z, 1j * y0)
     taus = np.arange(grid) / grid + 1j * y0
     zero = tuple(t[0] for t in theta_table((0,), taus)[1])
     eta3 = eta_values(taus) ** 3
     q_eighth = np.exp(2j * np.pi * taus / 8)
-    return np.array([q_eighth * _Table(z, taus, zero).remainder(kappa, z, eta3)
-                     for z in z_list])
+    return np.array([q_eighth * _Table(z, taus, zero).remainder(z, eta3)
+                     for z in DEFAULT_Z_LIST])
 
 
 def read_mock_coefficients(rows, y0: float, n_terms: int = 5) -> MockCoefficients:
@@ -303,7 +298,7 @@ def read_mock_coefficients(rows, y0: float, n_terms: int = 5) -> MockCoefficient
         for b in range(a + 1, len(rows)):
             max_dev = max(max_dev, float(np.max(np.abs(rows[a] - rows[b]))))
     if max_dev > Z_TOLERANCE:
-        raise ZDependenceDetected(f"remainder varies with z by {max_dev:.3e} (a wrong kappa?)")
+        raise ZDependenceDetected(f"remainder varies with z by {max_dev:.3e} (a wrong KAPPA?)")
 
     modes = np.fft.fft(rows[0]) / grid
     raw: list[int] = []
@@ -329,17 +324,14 @@ def read_mock_coefficients(rows, y0: float, n_terms: int = 5) -> MockCoefficient
     return MockCoefficients(tuple(values), scale, y0, grid, max_dev, margin)
 
 
-def extract_mock_coefficients(y0: float = 0.3,
-                              z_list: tuple[complex, ...] = DEFAULT_Z_LIST,
-                              grid: int = 128,
-                              kappa: complex = 24,
+def extract_mock_coefficients(y0: float = 0.3, grid: int = 128,
                               n_terms: int = 5) -> MockCoefficients:
     """Fourier-extract the integer expansion of the mock-modular remainder.
 
     sample_mock_rows, then read_mock_coefficients: samples q^{1/8} * remainder on
-    tau = x + i*y0 over a uniform x-grid, checks z-independence across z_list, undoes
+    tau = x + i*y0 over a uniform x-grid, checks z-independence across the z rows, undoes
     the e^{-2 pi n y0} damping per mode, rounds to integers, and factors out the scale
     making the leading entry -1.  Every argument is checked before anything is sampled.
     """
     _check_n_terms(n_terms, _check_grid(grid))
-    return read_mock_coefficients(sample_mock_rows(y0, z_list, grid, kappa), y0, n_terms)
+    return read_mock_coefficients(sample_mock_rows(y0, grid), y0, n_terms)

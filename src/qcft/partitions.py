@@ -24,7 +24,7 @@ from math import ceil, log, pi, sqrt
 
 from . import special
 from .errors import ConflictingConstraint
-from .series import check_order, is_int
+from .series import _unpack, check_order, is_int
 
 ENUMERATION_LIMIT = 60
 #: Largest n_max gordon_check accepts: one call with k = 4 at this bound takes
@@ -40,7 +40,8 @@ class PartitionConstraint:
     window rule (k, 2), the only window gap supported, requires
     b_j - b_{j+k-1} >= 2 for 1-indexed positions.  At most one of the two
     may be active.  allowed_residues restricts parts to given residues mod
-    `modulus`.  max_ones caps the number of parts equal to 1.
+    `modulus`.  max_ones caps the number of parts equal to 1.  Every field, residue
+    and window entry is an int (series.is_int), else ValueError.
     """
 
     min_part: int = 1
@@ -51,6 +52,10 @@ class PartitionConstraint:
     max_ones: int | None = None
 
     def __post_init__(self):
+        given = [x for x in (self.modulus, self.max_ones) if x is not None]
+        entries = [*(self.allowed_residues or ()), *(self.window or ())]
+        if not all(map(is_int, (self.min_part, self.min_gap, *given, *entries))):
+            raise ValueError(f"need int fields, residues and window entries, got {self!r}")
         if self.min_gap > 0 and self.window is not None:
             raise ConflictingConstraint("min_gap and window cannot both be active")
         if (self.allowed_residues is None) != (self.modulus is None):
@@ -160,13 +165,6 @@ def _slot_bits(n_max: int) -> int:
     return -(-(ceil(pi * sqrt(2 * n_max / 3) / log(2)) + 2) // 8) * 8
 
 
-def _unpack(row: int, n_max: int, w: int) -> list[int]:
-    """The counts of slots 0..n_max of a packed row with w-bit slots."""
-    b = w // 8
-    data = row.to_bytes(b * (n_max + 1), "little")
-    return [int.from_bytes(data[i:i + b], "little") for i in range(0, len(data), b)]
-
-
 def _dp_counts(n_max: int, c: PartitionConstraint) -> list[int]:
     """The same counts by a bottom-up table over the smallest allowed part.
 
@@ -194,7 +192,7 @@ def _dp_counts(n_max: int, c: PartitionConstraint) -> list[int]:
                 if s == 1:
                     # drop the partitions with more than `ones` parts equal to 1
                     row -= (row << w * (ones + 1)) & mask
-        return _unpack(row, n_max, w)
+        return _unpack(row, n_max + 1, w // 8)
     # Row r = 1 + q^r T_r is read as the rest only at step r - gap, and there only up
     # to q^n_max, so ahead keeps just the low n_max + 1 + gap - 2r slots of T_r, or 0
     # when that step is below min_part or no slot is left; ahead[j] is kept of row s + 1 + j
@@ -205,7 +203,7 @@ def _dp_counts(n_max: int, c: PartitionConstraint) -> list[int]:
         kept = n_max + 1 + gap - 2 * s
         ahead.appendleft((row >> w * s) & ((1 << w * kept) - 1)
                          if kept > 0 and s - gap >= c.min_part else 0)
-    return _unpack(row, n_max, w)
+    return _unpack(row, n_max + 1, w // 8)
 
 
 def _dp_window(n_max: int, c: PartitionConstraint) -> list[int]:
@@ -234,7 +232,7 @@ def _dp_window(n_max: int, c: PartitionConstraint) -> list[int]:
             below.append(below[-1] + layer[f] if layer[f] else below[-1])
         layer = [below[top]] + [(below[min(room - f, top)] << w * f * v) & mask
                                 for f in range(1, cap + 1)] + [0] * (top - cap)
-    return _unpack(sum(layer), n_max, w)
+    return _unpack(sum(layer), n_max + 1, w // 8)
 
 
 def count_partitions(n_max: int, c: PartitionConstraint) -> CountTable:

@@ -268,14 +268,19 @@ def _product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * n, "little")   # 1 in every slot
     bias = ones << (w - 1)
     p = (_pack(a, nb, ones) * _pack(b, nb, ones) + bias) & ((1 << n * w) - 1)
-    data = (p ^ bias).to_bytes(n * nb, "little")   # each slot is c_k in two's complement
-    return [int.from_bytes(data[i:i + nb], "little", signed=True) for i in range(0, n * nb, nb)]
+    return _unpack(p ^ bias, n, nb, signed=True)   # each slot is c_k in two's complement
 
 
 def _pack(x: Sequence[int], nb: int, ones: int) -> int:
     """sum x_k 2^(8 nb k): the two's-complement slots read as one int, less their borrows."""
     u = int.from_bytes(b"".join([v.to_bytes(nb, "little", signed=True) for v in x]), "little")
     return u - (((u >> (8 * nb - 1)) & ones) << 8 * nb)
+
+
+def _unpack(row: int, n: int, nb: int, signed: bool = False) -> list[int]:
+    """The n little-endian nb-byte slots of row, as ints (two's complement if signed)."""
+    data = row.to_bytes(n * nb, "little")
+    return [int.from_bytes(data[i:i + nb], "little", signed=signed) for i in range(0, n * nb, nb)]
 
 
 def _aligned(nums: Sequence[int], unit: int, offset: int, n: int) -> list[int]:

@@ -128,6 +128,8 @@ RR_SPECTRUM = {w: ArithmeticProgressionSet((RR_MODULUS, r) for r in rs)
 
 def rr_product(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     """Rogers-Ramanujan products 1 / prod (1 - q^e) over the members of RR_SPECTRUM."""
+    if which not in RR_SPECTRUM:
+        raise ValueError("which must be 'G' or 'H'")
     exponents = RR_SPECTRUM[which].members(check_order(order))
     return FracQSeries.from_ints(0, euler_product(exponents, -1, order))
 

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from qcft.boson import (_MAX_SITES, _MAX_SPECTRAL_CUTOFF, LatticeSpec, boson_partition_function,
+from qcft import boson
+from qcft.boson import (_MAX_SITES, LatticeSpec, boson_partition_function,
                         continuum_determinant_ratio, lattice_determinant_ratio,
                         theta_lattice_sum, twisted_boson_partition_function)
 from qcft.errors import NonpositiveRadius, NotInUpperHalfPlane
@@ -144,12 +145,13 @@ def continuum_ratio_full_sum(lengths, m1, m2, cutoff):
     return math.exp(log_ratio)
 
 
-def test_continuum_quarter_sum_matches_full_sum():
+def test_continuum_quarter_sum_matches_full_sum(monkeypatch):
     for cutoff in (16, 64):
+        monkeypatch.setattr(boson, "SPECTRAL_CUTOFF", cutoff)
         for lengths in ((1.0, 1.0), (1.0, 2.0)):
             for m1, m2 in ((1.0, 2.0), (0.5, 3.0)):
                 want = continuum_ratio_full_sum(lengths, m1, m2, cutoff)
-                got = continuum_determinant_ratio(lengths, m1, m2, cutoff)
+                got = continuum_determinant_ratio(lengths, m1, m2)
                 assert abs(got - want) <= 1e-12 * want
 
 
@@ -208,8 +210,7 @@ def test_mass_validation():
         continuum_determinant_ratio((1.0, 1.0), 1.0, 0.0)
 
 
-# each rule is checked before any work: 10^9 sites a side would be 10^18 loop steps, and a
-# cutoff of 10^7 some 10^14 floats
+# each rule is checked before any work: 10^9 sites a side would be 10^18 loop steps
 
 @pytest.mark.parametrize("sites", [(16.5, 16), (16, 16.0), (True, 16), (3, 16),
                                    (10 ** 9, 10 ** 9), (16, _MAX_SITES + 1)])
@@ -236,13 +237,3 @@ def test_masses_are_finite_and_positive(m1, m2):
         lattice_determinant_ratio(LatticeSpec((8, 8)), m1, m2)
     with pytest.raises(ValueError, match="masses"):
         continuum_determinant_ratio((1.0, 1.0), m1, m2)
-
-
-@pytest.mark.parametrize("cutoff", [10 ** 7, _MAX_SPECTRAL_CUTOFF + 1, -1, 256.0, True])
-def test_continuum_cutoff_is_an_int_up_to_the_cap(cutoff):
-    with pytest.raises(ValueError, match="int cutoff"):
-        continuum_determinant_ratio((1.0, 1.0), 1.0, 2.0, cutoff)
-
-
-def test_continuum_cutoff_at_the_cap_is_accepted():
-    assert 0 < continuum_determinant_ratio((1.0, 1.0), 1.0, 2.0, _MAX_SPECTRAL_CUTOFF) < 1

@@ -148,11 +148,19 @@ def test_remainder_z_independent_at_24():
     assert spread < 1e-9 * max(abs(v) for v in vals)
 
 
-def test_remainder_z_dependent_otherwise():
+def test_remainder_z_dependent_otherwise(monkeypatch):
+    monkeypatch.setattr(mock, "KAPPA", 23)
     tau = 0.07 + 0.41j
-    vals = [mock_remainder(z, tau, kappa=23) for z in DEFAULT_Z_LIST]
+    vals = [mock_remainder(z, tau) for z in DEFAULT_Z_LIST]
     spread = max(abs(a - b) for a in vals for b in vals)
     assert spread > 1e-3
+
+
+def test_default_z_rows_are_distinct_and_inside_the_bound():
+    # the sampler's rows at every y0 it accepts, down to 0.15, are inside mock._check_z's bound
+    assert len(set(DEFAULT_Z_LIST)) == 3
+    for z in DEFAULT_Z_LIST:
+        assert mock._check_z(z, 0.15j) == z
 
 
 def test_extraction_reference_values():
@@ -169,9 +177,10 @@ def test_extraction_stable_across_settings():
             assert got.values == (-1, 45, 231, 770)
 
 
-def test_extraction_detects_wrong_kappa():
+def test_extraction_detects_wrong_kappa(monkeypatch):
+    monkeypatch.setattr(mock, "KAPPA", 23)
     with pytest.raises(ZDependenceDetected):
-        extract_mock_coefficients(kappa=23)
+        extract_mock_coefficients()
 
 
 def test_extraction_argument_validation():
@@ -179,8 +188,6 @@ def test_extraction_argument_validation():
         extract_mock_coefficients(y0=0.05)
     with pytest.raises(ValueError):
         extract_mock_coefficients(grid=100)
-    with pytest.raises(ValueError):
-        extract_mock_coefficients(z_list=(0.2, 0.2, 0.2))
     for n_terms in (0, -3):
         with pytest.raises(ValueError):
             extract_mock_coefficients(n_terms=n_terms)
@@ -273,7 +280,7 @@ def test_kernel_row_equals_points():
     # Im tau) is larger than most single points' own
     taus = np.linspace(-0.5, 0.5, 17) + 1j * np.linspace(0.1, 1.0, 17)
     z = 0.31 + 0.05j
-    row = mock._remainder(z, taus, 24)
+    row = mock._remainder(z, taus)
     table, thetas = special.theta_table((z,), taus)
     for k, tau in enumerate(taus):
         point = mock_remainder(z, tau)
@@ -286,11 +293,9 @@ def test_kernel_row_equals_points():
 def test_kernel_guards_raise_on_rows():
     taus = np.arange(64) / 64 + 0.3j
     with pytest.raises(ThetaZeroDivision):
-        mock._remainder(0.0, taus, 24)
-    with pytest.raises(ThetaZeroDivision):
-        extract_mock_coefficients(z_list=(0.0, 0.2 + 0.01j, 0.3))
+        mock._remainder(0.0, taus)
     with pytest.raises(NotInUpperHalfPlane):
-        mock._remainder(0.2, np.append(taus, 0.5 - 0.1j), 24)
+        mock._remainder(0.2, np.append(taus, 0.5 - 0.1j))
 
 
 def test_mu_pole_guard():
@@ -334,7 +339,6 @@ def test_one_point_builds_one_table(monkeypatch):
     appell_lerch_mu(p)
     appell_lerch_mu(p, z2=p.z)
     mock_remainder(p.z, p.tau)
-    mock_remainder(p.z, p.tau, kappa=23)
     assert len(builds) == 1
     appell_lerch_mu(p, z2=0.41 - 0.03j)   # off the diagonal: a one-row table of its own
     assert builds == [(p.z, 0), (0.41 - 0.03j,)]
@@ -422,7 +426,7 @@ def one_row_values(z, tau):
     eg = complex(mock._elliptic_genus(*zip(*at_z_and_0))[0])
     table, row = special.theta_table((z,), taus)
     mu_zz = complex(mock._mu(z, z, table[0], row[0][0], taus)[0])
-    return thetas, eg, mu_zz, complex(mock._remainder(z, taus, 24)[0])
+    return thetas, eg, mu_zz, complex(mock._remainder(z, taus)[0])
 
 
 def test_point_table_equals_one_row_tables():
@@ -458,9 +462,7 @@ def test_nonfinite_z_raises(z):
     with pytest.raises(ValueError, match="finite z"):
         appell_lerch_mu(JacobiPoint(0.2, TAU), z2=z)
     with pytest.raises(ValueError, match="finite z"):
-        mock._remainder(z, np.array([TAU, 0.1 + 0.5j]), 24)
-    with pytest.raises(ValueError, match="finite z"):
-        extract_mock_coefficients(z_list=(0.17 + 0.04j, 0.36 - 0.03j, z))
+        mock._remainder(z, np.array([TAU, 0.1 + 0.5j]))
 
 
 # the theta terms peak at m = -Im z / Im tau; the cutoff's margin covers |Im z| <= 3 Im tau
@@ -491,9 +493,6 @@ def test_z_past_the_bound_raises(z, tau):
             mock_remainder(z, tau)
         with pytest.raises(ValueError, match="Im z"):
             appell_lerch_mu(JacobiPoint(0.2, tau), z2=z)
-        past = complex(z.real, z.imag / tau.imag * 0.3)   # the same ratio at y0 = 0.3
-        with pytest.raises(ValueError, match="Im z"):
-            extract_mock_coefficients(y0=0.3, z_list=(0.17, 0.36, past))
 
 
 # -- one sampling per mock height ------------------------------------------------------
@@ -525,7 +524,7 @@ def test_shared_rows_equal_rows_of_their_own_tables(y0):
     taus = np.arange(256) / 256 + 1j * y0
     q_eighth = np.exp(2j * np.pi * taus / 8)
     for z, row in zip(DEFAULT_Z_LIST, sample_mock_rows(y0, grid=256)):
-        assert np.array_equal(row, q_eighth * mock._remainder(z, taus, 24))
+        assert np.array_equal(row, q_eighth * mock._remainder(z, taus))
 
 
 def test_check_mock_records_equal_standalone_extractions():

@@ -119,6 +119,17 @@ def test_constraint_rejects_modulus_below_one(modulus):
         PartitionConstraint(allowed_residues=frozenset({1}), modulus=modulus)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"min_part": 1.5}, {"min_part": True}, {"min_gap": 2.0},
+    {"allowed_residues": frozenset({1.5}), "modulus": 5},
+    {"allowed_residues": frozenset({1}), "modulus": 5.0}, {"max_ones": 1.0},
+    {"window": (2.0, 2)}, {"window": (2, True)},
+], ids=repr)
+def test_constraint_fields_must_be_ints(kwargs):
+    with pytest.raises(ValueError, match="need int fields"):
+        PartitionConstraint(**kwargs)
+
+
 def test_enumeration_cross_check_scope():
     # the oracle range of the rr.partition_oracle records is part of the contract
     assert ENUMERATION_LIMIT == 60

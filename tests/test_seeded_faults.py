@@ -37,6 +37,12 @@ FAULTS = {
         "virasoro.py", "n ** 3 - n", "n ** 3 + n", "all",
         {"gram.bracket_m2_2", "gram.level2_singular_at_25_weight",
          "gram.level4_vacuum_determinant", "gram.null_vector_charge"}, []),
+    "pentagonal sign flipped": (
+        "special.py", "yield g + k, (-1) ** k", "yield g + k, (-1) ** (k + 1)", "casimir",
+        {"casimir.oscillator_is_inverse_eta"}, []),
+    "E4 from sigma_2": (
+        "special.py", "mult, power = 240, 3", "mult, power = 240, 2", "ode",
+        {"ode.residual_G", "ode.residual_H"}, []),
 }
 
 

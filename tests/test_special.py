@@ -160,6 +160,12 @@ def test_rr_counts_by_enumeration(which, residues):
         assert g.coeffs[n] == enumerate_congruence_partitions(n, residues, 5)
 
 
+@pytest.mark.parametrize("which", ["g", "", "GH"])
+def test_rr_product_rejects_an_unknown_label(which):
+    with pytest.raises(ValueError, match="which must be 'G' or 'H'"):
+        rr_product(which, 10)
+
+
 def test_rr_small_values():
     g = rr_product("G", 10)
     h = rr_product("H", 10)
@@ -421,7 +427,7 @@ NUMERIC_ENTRY_POINTS = {
     "evaluate_series": lambda t: evaluate_series(dedekind_eta(8), t),
     "JacobiPoint": lambda t: mock.JacobiPoint(0.2, t),
     "mock_remainder": lambda t: mock.mock_remainder(0.2, t),
-    "kernel row": lambda t: mock._remainder(0.2, np.array([0.1 + 0.5j, t]), 24),
+    "kernel row": lambda t: mock._remainder(0.2, np.array([0.1 + 0.5j, t])),
     "theta_lattice_sum": lambda t: boson.theta_lattice_sum(1.0, t),
     "boson_partition_function": lambda t: boson.boson_partition_function(1.0, t),
     "twisted_boson_partition_function": boson.twisted_boson_partition_function,
@@ -449,7 +455,7 @@ EXTREME_INPUTS = {
     "elliptic_genus_k3": lambda: mock.elliptic_genus_k3(mock.JacobiPoint(0.2, TINY_Y)),
     "appell_lerch_mu": lambda: mock.appell_lerch_mu(mock.JacobiPoint(0.2, TINY_Y)),
     "mock_remainder": lambda: mock.mock_remainder(0.2, TINY_Y),
-    "kernel row": lambda: mock._remainder(0.2, np.array([0.1 + 0.5j, TINY_Y]), 24),
+    "kernel row": lambda: mock._remainder(0.2, np.array([0.1 + 0.5j, TINY_Y])),
     "theta_lattice_sum": lambda: boson.theta_lattice_sum(1.0, TINY_Y),
     "boson_partition_function": lambda: boson.boson_partition_function(1.0, TINY_Y),
     "twisted_boson_partition_function": lambda: boson.twisted_boson_partition_function(TINY_Y),
