@@ -23,9 +23,9 @@ depend only on y0, so the rows at grid // s are the stride rows[:, ::s], bit for
 checks.check_mock samples each height once at grid 256 and reads grid 128 as
 rows[:, ::2].  extract_mock_coefficients is the two in a row.
 
-Every one-point entry folds Re tau into [-12, 12] (special.fold_tau) and reads the
-one-element _Table of one theta_table((z, 0), folded tau) from a cache of the last
-POINT_CACHE_SIZE points, so jacobi_theta, elliptic_genus_k3, the diagonal
+Every one-point entry reads, from a cache of the last POINT_CACHE_SIZE (z, tau), the
+one-element _Table of one theta_table((z, 0), folded tau), where a miss folds Re tau
+into [-12, 12] (special.fold_tau), so jacobi_theta, elliptic_genus_k3, the diagonal
 appell_lerch_mu and mock_remainder of one point share one table, one elliptic genus
 and one mu; only an off-diagonal mu builds a table of its own.  The cached arrays
 are read-only.  An entry's table is about 1 MB at MAX_CUTOFF, so the cache keeps at
@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .errors import (RoundingUnstable, ThetaConstantVanishes, ThetaZeroDivision,
                      ZDependenceDetected)
-from .series import is_int, rat_str
+from .series import is_int
 from .special import CUTOFF_MARGIN, check_tau, eta_values, fold_tau, theta_table
 
 KAPPA = 24   # the copies of mu the remainder subtracts: chi(K3), the elliptic genus at z = 0
@@ -173,24 +173,20 @@ POINT_CACHE_SIZE = 16
 
 @functools.lru_cache(maxsize=POINT_CACHE_SIZE)
 def _point(z: complex, tau: complex) -> _Table:
-    """The _Table of a checked z at one folded tau."""
-    return _Table(z, _read_only(_one(tau)))
-
-
-def _point_of(p: JacobiPoint) -> _Table:
-    return _point(p.z, fold_tau(p.tau))
+    """The _Table of a checked z at fold_tau(tau), folded only when the cache misses."""
+    return _Table(z, _read_only(_one(fold_tau(tau))))
 
 
 def jacobi_theta(i: int, p: JacobiPoint) -> complex:
     """theta_i(z, tau) by direct series summation, nome q = exp(2*pi*i*tau)."""
     if i not in (1, 2, 3, 4):
         raise ValueError("theta index must be 1..4")
-    return complex(_point_of(p).thetas[i - 1][0])
+    return complex(_point(p.z, p.tau).thetas[i - 1][0])
 
 
 def elliptic_genus_k3(p: JacobiPoint) -> complex:
     """8 * sum_{i=2,3,4} (theta_i(z,tau) / theta_i(0,tau))^2 (holomorphic form)."""
-    return complex(_point_of(p).eg[0])
+    return complex(_point(p.z, p.tau).eg[0])
 
 
 def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
@@ -203,7 +199,7 @@ def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
     """
     u = p.z
     if z2 is None or z2 == u:
-        point = _point_of(p)
+        point = _point(p.z, p.tau)
         _theta1_guard(point.thetas[0], u)
         return complex(point.mu[0])
     v, tau = _check_z(z2, p.tau), fold_tau(p.tau)
@@ -215,29 +211,19 @@ def appell_lerch_mu(p: JacobiPoint, z2: complex | None = None) -> complex:
 @dataclass(frozen=True)
 class MockCoefficients:
     """Integer coefficients of q^{-1/8 + n}, with the factored-out scale.  rounding_margin,
-    the largest |value - round(value)| over the modes, is not part of the record."""
+    the largest |value - round(value)| over the modes, stays out of the mock.coefficients
+    record that checks.check_mock builds."""
 
     values: tuple[int, ...]
     scale: Fraction
-    y0: float
     grid: int
     max_z_deviation: float
     rounding_margin: float
 
-    def to_record(self) -> dict:
-        return {
-            "scale": rat_str(self.scale),
-            "values": list(self.values),
-            "y0": repr(self.y0),
-            "grid": self.grid,
-            "max_z_deviation": f"{self.max_z_deviation:.3e}",
-        }
-
 
 def mock_remainder(z: complex, tau: complex) -> complex:
     """elliptic_genus * eta^3 / theta_1^2 - KAPPA * mu at one point."""
-    tau = fold_tau(tau)
-    return complex(_point(_check_z(z, tau), tau).remainder(z)[0])
+    return complex(_point(_check_z(z, check_tau(tau)), tau).remainder(z)[0])
 
 
 # the sampler's time and memory grow as grid: at y0 = 0.15 (the largest cutoff) a grid
@@ -312,16 +298,13 @@ def read_mock_coefficients(rows, y0: float, n_terms: int = 5) -> MockCoefficient
         margin = max(margin, miss)
         raw.append(nearest)
 
-    scale = Fraction(-raw[0])
+    scale = -raw[0]
     if scale == 0:
         raise RoundingUnstable("leading coefficient vanished; cannot normalize")
-    values = []
-    for v in raw:
-        scaled = Fraction(v) / scale
-        if scaled.denominator != 1:
-            raise RoundingUnstable(f"scale {scale} does not divide {v}")
-        values.append(int(scaled))
-    return MockCoefficients(tuple(values), scale, y0, grid, max_dev, margin)
+    if any(v % scale for v in raw):
+        raise RoundingUnstable(f"scale {scale} does not divide {raw}")
+    return MockCoefficients(tuple(v // scale for v in raw), Fraction(scale), grid,
+                            max_dev, margin)
 
 
 def extract_mock_coefficients(y0: float = 0.3, grid: int = 128,

@@ -19,6 +19,7 @@ unrestricted_p counts p(n) by Euler's recurrence over special.pentagonal, with n
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import ceil, log, pi, sqrt
 
@@ -41,7 +42,8 @@ class PartitionConstraint:
     b_j - b_{j+k-1} >= 2 for 1-indexed positions.  At most one of the two
     may be active.  allowed_residues restricts parts to given residues mod
     `modulus`.  max_ones caps the number of parts equal to 1.  Every field, residue
-    and window entry is an int (series.is_int), else ValueError.
+    and window entry is an int (series.is_int), the residues are an iterable and the window
+    a tuple of two, else ValueError.
     """
 
     min_part: int = 1
@@ -52,10 +54,14 @@ class PartitionConstraint:
     max_ones: int | None = None
 
     def __post_init__(self):
+        residues, window = self.allowed_residues, self.window
+        residues = tuple(residues) if isinstance(residues, Iterable) else residues   # read once
+        shaped = ((residues is None or isinstance(residues, tuple))
+                  and (window is None or isinstance(window, tuple) and len(window) == 2))
         given = [x for x in (self.modulus, self.max_ones) if x is not None]
-        entries = [*(self.allowed_residues or ()), *(self.window or ())]
-        if not all(map(is_int, (self.min_part, self.min_gap, *given, *entries))):
-            raise ValueError(f"need int fields, residues and window entries, got {self!r}")
+        entries = [*(residues or ()), *(window or ())] if shaped else []
+        if not (shaped and all(map(is_int, (self.min_part, self.min_gap, *given, *entries)))):
+            raise ValueError(f"need int fields, residues and a window pair, got {self!r}")
         if self.min_gap > 0 and self.window is not None:
             raise ConflictingConstraint("min_gap and window cannot both be active")
         if (self.allowed_residues is None) != (self.modulus is None):
@@ -70,7 +76,7 @@ class PartitionConstraint:
             raise ValueError("max_ones must be >= 0")
         if self.allowed_residues is not None:
             object.__setattr__(self, "allowed_residues",
-                               frozenset(r % self.modulus for r in self.allowed_residues))
+                               frozenset(r % self.modulus for r in residues))
 
     def part_allowed(self, s: int) -> bool:
         if s < self.min_part:

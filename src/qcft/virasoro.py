@@ -72,19 +72,9 @@ class PolyCH:
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyCH) and self.terms == other.terms
 
-    def evaluate(self, c, h):
-        """Evaluate at numbers (Fractions stay exact, floats go numeric)."""
-        exact = isinstance(c, (int, Fraction)) and isinstance(h, (int, Fraction))
-        total = Fraction(0) if exact else 0.0
-        for (i, j), v in self.terms.items():
-            total += (v if exact else float(v)) * c ** i * h ** j
-        return total
-
-    def c_coefficients(self) -> dict[int, Fraction]:
-        """Coefficients by power of c, valid only when no h appears."""
-        if any(j for (_, j) in self.terms):
-            raise ValueError("polynomial involves h")
-        return {i: v for (i, _), v in self.terms.items()}
+    def evaluate(self, c, h) -> Fraction:
+        """The exact value at ints or Fractions c and h."""
+        return sum((v * c ** i * h ** j for (i, j), v in self.terms.items()), Fraction(0))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -223,14 +213,6 @@ class VermaGram:
     def evaluate(self, c, h) -> list[list]:
         return [[e.evaluate(c, h) for e in row] for row in self.entries]
 
-    def to_record(self) -> dict:
-        return {
-            "level": self.level,
-            "vacuum": self.vacuum,
-            "basis": [list(b) for b in self.basis],
-            "entries": [[str(e) for e in row] for row in self.entries],
-        }
-
 
 def gram_matrix(level: int, vacuum: bool = False) -> VermaGram:
     """Gram matrix at a given level; the vacuum module restricts parts to >= 2."""
@@ -262,17 +244,14 @@ def null_vector_central_charges() -> NullVectorResult:
     has norm 0 at the root, and the ratio if the rows disagree on the null direction.
     """
     g = gram_matrix(4, vacuum=True)
-    coeffs = g.determinant().c_coefficients()
-    low = min(coeffs, default=0)   # multiplicity of the degenerate c = 0 root
-    reduced = {i - low: v for i, v in coeffs.items()}
+    terms = g.determinant().terms   # by (power of c, power of h); a vacuum one has no h
+    low = min((i for i, _ in terms), default=0)   # multiplicity of the degenerate c = 0 root
+    reduced = {i - low: v for (i, _), v in terms.items()}
     if sorted(reduced) != [0, 1]:
         return NullVectorResult((), None, None)
     root = -reduced[0] / reduced[1]
-    # Null direction beta * L_4 + 1 * L_2^2 at the root.
-    i4, i22 = g.basis.index((4,)), g.basis.index((2, 2))
-    g44 = g.entries[i4][i4].evaluate(root, Fraction(0))
-    g42 = g.entries[i4][i22].evaluate(root, Fraction(0))
-    g22 = g.entries[i22][i22].evaluate(root, Fraction(0))
+    # Null direction beta * L_4 + 1 * L_2^2 at the root, over the basis (4,), (2, 2).
+    (g44, g42), (_, g22) = g.evaluate(root, 0)
     beta = -g42 / g44 if g44 else None
     # The regular term of the normal-ordered TT product is L_2^2 - L_4 acting
     # on the vacuum (symmetric subtraction of the singular part), while the

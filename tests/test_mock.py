@@ -5,6 +5,7 @@ in both arguments and by its defining sum evaluated in mpmath."""
 
 import cmath
 import copy
+import json
 import math
 import pickle
 import random
@@ -220,12 +221,6 @@ def test_size_bounds_are_inclusive():
     assert mock._check_n_terms(1, 64) == 1 and mock._check_n_terms(32, 64) == 32
 
 
-def test_extraction_record():
-    rec = extract_mock_coefficients(n_terms=3).to_record()
-    assert rec["scale"] == "2/1"
-    assert rec["values"] == [-1, 45, 231]
-
-
 # -- the vectorized kernel -------------------------------------------------------------
 
 def mp_nome_and_branch(tau):
@@ -347,7 +342,7 @@ def test_one_point_builds_one_table(monkeypatch):
 def test_cached_arrays_are_read_only():
     p = JacobiPoint(0.27 + 0.06j, TAU)
     before = mock_remainder(p.z, p.tau)
-    point = mock._point_of(p)
+    point = mock._point(p.z, p.tau)
     for a in (point.taus, point.table, *point.thetas, *point.zero, point.eg, point.mu):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -551,8 +546,12 @@ def test_check_mock_catches_a_perturbed_elliptic_genus(monkeypatch):
 @pytest.mark.parametrize("y0", REPORT_Y0)
 def test_rounding_margin_is_small_at_report_settings(y0):
     rows = sample_mock_rows(y0, grid=256)
+    records = {r.params["grid"]: r.to_record() for r in checks.check_mock(RunConfig())
+               if r.name == "mock.coefficients" and r.params["y0"] == y0}
     for stride in (2, 1):
         got = read_mock_coefficients(rows[:, ::stride], y0)
         assert got.values == (-1, 45, 231, 770, 2277)
         assert 0 <= got.rounding_margin < 1e-9
-        assert "rounding_margin" not in got.to_record()
+        record = records[256 // stride]
+        assert "rounding_margin" not in record and "rounding_margin" not in record["details"]
+        assert repr(got.rounding_margin) not in json.dumps(record)

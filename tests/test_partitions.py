@@ -79,6 +79,8 @@ def test_residues_normalized_mod_modulus():
     a = PartitionConstraint(allowed_residues=frozenset({6, 9}), modulus=5)
     b = PartitionConstraint(allowed_residues=frozenset({1, 4}), modulus=5)
     assert count_partitions(20, a).values == count_partitions(20, b).values
+    # a one-shot iterator of residues is read once, by the int check and the set alike
+    assert PartitionConstraint(allowed_residues=iter((6, 9)), modulus=5) == b
 
 
 def test_window_counts_match_enumeration_definition():
@@ -124,6 +126,8 @@ def test_constraint_rejects_modulus_below_one(modulus):
     {"allowed_residues": frozenset({1.5}), "modulus": 5},
     {"allowed_residues": frozenset({1}), "modulus": 5.0}, {"max_ones": 1.0},
     {"window": (2.0, 2)}, {"window": (2, True)},
+    {"window": (3,)}, {"window": 3}, {"window": (3, 2, 1)},
+    {"allowed_residues": 5, "modulus": 5},
 ], ids=repr)
 def test_constraint_fields_must_be_ints(kwargs):
     with pytest.raises(ValueError, match="need int fields"):

@@ -43,6 +43,13 @@ FAULTS = {
     "E4 from sigma_2": (
         "special.py", "mult, power = 240, 3", "mult, power = 240, 2", "ode",
         {"ode.residual_G", "ode.residual_H"}, []),
+    "null-vector root sign flipped": (
+        "virasoro.py", "root = -reduced[0] / reduced[1]", "root = reduced[0] / reduced[1]",
+        "gram", {"gram.null_vector_charge"}, []),
+    # every mock.coefficients record fails, since none may print the normalised values
+    "mock scale sign flipped": (
+        "mock.py", "-raw[0]", "raw[0]", "mock", {"mock.coefficients"},
+        [("mock.coefficients", {"values": [-1, 45, 231, 770, 2277], "scale": "2/1"})]),
 }
 
 

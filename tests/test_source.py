@@ -113,3 +113,14 @@ def test_the_package_has_no_assert_statement():
                       if isinstance(node, ast.Assert)]
              for p in Path(qcft.__file__).parent.glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_no_library_class_writes_its_own_record():
+    # checks alone turns values into records; a series keeps its to_record because the
+    # series.serialization_stable record checks that serialization
+    package = Path(qcft.__file__).parent
+    found = {f"{name}.{node.name}" for name in LIBRARY
+             for node in ast.walk(ast.parse((package / f"{name}.py").read_text()))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(f, ast.FunctionDef) and f.name == "to_record" for f in node.body)}
+    assert found == {"series.FracQSeries"}

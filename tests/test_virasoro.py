@@ -291,12 +291,6 @@ def test_determinant_matches_sympy(g):
     assert sympy.expand(poly_to_sympy(g.determinant()) - m.det(method="domain-ge")) == 0
 
 
-def test_gram_record_roundtrip_shape():
-    rec = gram_matrix(4, vacuum=True).to_record()
-    assert rec["basis"] == [[4], [2, 2]]
-    assert rec["entries"][0][1] == rec["entries"][1][0]
-
-
 # -- null vector ---------------------------------------------------------------------
 
 def test_null_vector():
