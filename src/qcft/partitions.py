@@ -254,19 +254,10 @@ def count_partitions(n_max: int, c: PartitionConstraint) -> CountTable:
 
 def unrestricted_p(n_max: int) -> CountTable:
     """p(n) by Euler's pentagonal number recurrence, p(n) = -sum (-1)^k p(n - g) over
-    the g <= n of special.pentagonal: the coefficients of 1 / prod (1 - q^n)."""
+    the g <= n of special.pentagonal: 1 / prod (1 - q^n) by special.sparse_quotient."""
     if not is_int(n_max):
         raise ValueError(f"n_max = {n_max!r}: need an int")
-    p = [1] + [0] * (check_order(n_max + 1) - 1)
-    terms = list(special.pentagonal(n_max))
-    for n in range(1, n_max + 1):
-        total = 0
-        for g, sign in terms:
-            if g > n:
-                break
-            total -= sign * p[n - g]
-        p[n] = total
-    return CountTable(p)
+    return CountTable(special.sparse_quotient((), special.pentagonal(n_max), n_max + 1))
 
 
 # -- Andrews-Gordon ------------------------------------------------------------

@@ -6,16 +6,16 @@ Casimir exponents are half the regularized spectrum sum, which is the unique
 constant calibration reproducing both (2,5) character prefactors at once.
 
 A spectrum is a special.ArithmeticProgressionSet, the one declaration of an Euler
-product: the oscillator traces are q^{casimir_exponent} times euler_product over its
-members, so oscillator_partition_series(special.RR_SPECTRUM[w]) is a (2,5) character.
+product: the oscillator traces are q^{casimir_exponent} times its inverse_product, so
+oscillator_partition_series(special.RR_SPECTRUM[w]), a sparse_quotient, is a (2,5) character.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import DEFAULT_ORDER, FracQSeries, check_order
-from .special import ArithmeticProgressionSet, _validate, euler_product
+from .series import DEFAULT_ORDER, FracQSeries
+from .special import ArithmeticProgressionSet, _validate
 
 
 def hurwitz_sum(p: int, r: int) -> Fraction:
@@ -42,8 +42,7 @@ def casimir_exponent(s: ArithmeticProgressionSet) -> Fraction:
 
 
 def _product_series(s: ArithmeticProgressionSet, order: int, sign: int) -> FracQSeries:
-    exponents = s.members(check_order(order))
-    return FracQSeries.from_ints(casimir_exponent(s), euler_product(exponents, sign, order))
+    return FracQSeries.from_ints(casimir_exponent(s), s.inverse_product(sign, order))
 
 
 def oscillator_partition_series(s: ArithmeticProgressionSet,

@@ -1,11 +1,11 @@
 """Named modular objects: Dedekind eta, Eisenstein series, Rogers-Ramanujan products.
 
-Exact constructors return FracQSeries over ints: eta from the generalized pentagonal
-numbers of pentagonal (Euler's pentagonal number theorem, which unrestricted_p in
-partitions reads too), and every inverse Euler product 1 / prod (1 + s q^e) by the
-coin-change pass of euler_product.  A product is declared once, by its spectrum: an
-ArithmeticProgressionSet whose members are its exponents (RR_SPECTRUM for G and H),
-which euler_product reads exactly and q_product numerically.  The numeric side evaluates
+Exact constructors return FracQSeries over ints: eta from pentagonal, the p = 3 case of
+the Jacobi triple-product terms of triple_product (unrestricted_p reads it too).  A product
+is declared once, by its spectrum: an ArithmeticProgressionSet whose members are its
+exponents (RR_SPECTRUM for G and H), which q_product reads numerically and
+inverse_product exactly: one sparse_quotient over triple_product, O(order^(3/2)), for a
++-i pair mod p, else euler_product's coin-change pass, the oracle.  The numeric side evaluates
 at q = exp(2*pi*i*tau) in numpy (imported lazily) at one tau or over an array of them,
 with one of each primitive: check_tau validates tau, fold_tau moves a scalar's Re tau
 into [-period/2, period/2] (every kernel is periodic in it with a period dividing 24,
@@ -55,16 +55,43 @@ def euler_product(exponents: Iterable[int], sign: int, order: int) -> list[int]:
     return coeffs
 
 
-def pentagonal(n_max: int) -> Iterator[tuple[int, int]]:
-    """(g, (-1)^k) for the generalized pentagonal numbers g = k(3k - 1)/2 and k(3k + 1)/2
-    <= n_max, k >= 1, ascending.  Euler's pentagonal number theorem: prod_{n>=1} (1 - q^n)
-    = 1 + sum (-1)^k q^g over these g (Andrews, The Theory of Partitions, ch. 1)."""
+def triple_product(p: int, i: int, n_max: int) -> Iterator[tuple[int, int]]:
+    """(g, (-1)^k) for g = (pk^2 -+ (p - 2i)k)/2 <= n_max, k >= 1, 1 <= i < p/2, ascending:
+    Jacobi's triple product, prod_{n = 0, +-i (mod p)} (1 - q^n) = 1 + sum (-1)^k q^g
+    (Andrews, The Theory of Partitions, Thm 2.8)."""
     k = 1
-    while (g := k * (3 * k - 1) // 2) <= n_max:
+    while (g := k * (p * k - p + 2 * i) // 2) <= n_max:
         yield g, (-1) ** k
-        if g + k <= n_max:   # k(3k + 1)/2
-            yield g + k, (-1) ** k
+        if g + (p - 2 * i) * k <= n_max:
+            yield g + (p - 2 * i) * k, (-1) ** k
         k += 1
+
+
+def pentagonal(n_max: int) -> Iterator[tuple[int, int]]:
+    """triple_product(3, 1), k(3k -+ 1)/2: Euler's pentagonal number theorem."""
+    return triple_product(3, 1, n_max)
+
+
+def sparse_quotient(numerator: Iterable[tuple[int, int]], theta: Iterable[tuple[int, int]],
+                    order: int) -> list[int]:
+    """The first `order` coefficients of (1 + sum s q^e) / (1 + sum t q^g) over the distinct
+    e >= 1 of numerator and the ascending g >= 1 of theta, t = +-1: one sparse division
+    f_n = N_n - sum t f_(n-g), O(order len(theta))."""
+    f = [1] + [0] * (check_order(order) - 1)
+    for e, s in numerator:
+        f[e] = s
+    terms = list(theta)
+    for n in range(1, order):
+        acc = f[n]
+        for g, t in terms:
+            if g > n:
+                break
+            if t > 0:
+                acc -= f[n - g]
+            else:
+                acc += f[n - g]
+        f[n] = acc
+    return f
 
 
 def dedekind_eta(order: int = DEFAULT_ORDER) -> FracQSeries:
@@ -113,6 +140,17 @@ class ArithmeticProgressionSet:
         """All spectrum members < below, ascending (progressions kept disjoint)."""
         return sorted(e for p, r in self.progressions for e in range(r, below, p))
 
+    def inverse_product(self, sign: int, order: int) -> list[int]:
+        """The first `order` coefficients of 1 / prod (1 + sign q^e) over the members: by
+        euler_product, or, when sign is -1 and the members are the n = +-i (mod p) with
+        1 <= i < p/2, as (q^p; q^p)_oo / triple_product(p, i) by sparse_quotient."""
+        (p, i), *rest = sorted(self.progressions)
+        if sign == -1 and rest == [(p, p - i)]:
+            top = check_order(order) - 1
+            return sparse_quotient(((p * g, s) for g, s in pentagonal(top // p)),
+                                   triple_product(p, i, top), order)
+        return euler_product(self.members(check_order(order)), sign, order)
+
 
 def _validate(p: int, r: int):
     if p < 1 or not (1 <= r <= p):
@@ -130,8 +168,7 @@ def rr_product(which: str, order: int = DEFAULT_ORDER) -> FracQSeries:
     """Rogers-Ramanujan products 1 / prod (1 - q^e) over the members of RR_SPECTRUM."""
     if which not in RR_SPECTRUM:
         raise ValueError("which must be 'G' or 'H'")
-    exponents = RR_SPECTRUM[which].members(check_order(order))
-    return FracQSeries.from_ints(0, euler_product(exponents, -1, order))
+    return FracQSeries.from_ints(0, RR_SPECTRUM[which].inverse_product(-1, order))
 
 
 def check_tau(tau):

@@ -22,10 +22,10 @@ from functools import cached_property
 from .errors import LevelTooLarge
 from .partitions import PartitionConstraint, count_partitions
 from .regularization import casimir_exponent, oscillator_partition_series
-from .series import DEFAULT_ORDER, FracQSeries, check_order, is_int
+from .series import DEFAULT_ORDER, FracQSeries, _unpack, check_order, is_int
 from .special import RR_RESIDUES, RR_SPECTRUM, eisenstein, fold_tau, q_product
 
-# level 6 (dimension 11) is in reach: its matrix takes ~2.5 ms and its determinant 0.45-0.5 s
+# level 6 (dimension 11) is in reach: its matrix takes ~3-5 ms and its determinant 0.15-0.28 s
 # (2 cores, CPython 3.11)
 MAX_GRAM_LEVEL = 6
 
@@ -143,10 +143,9 @@ def _act_lowering(m: int, mono: tuple[int, ...], vacuum: bool
     return out
 
 
-def _add_product(acc: IntPoly, p: IntPoly, q: IntPoly, sign: int = 1):
-    """acc += sign p q."""
+def _add_product(acc: IntPoly, p: IntPoly, q: IntPoly):
+    """acc += p q."""
     for (i1, j1), v1 in p.items():
-        v1 *= sign
         for (i2, j2), v2 in q.items():
             k = (i1 + i2, j1 + j2)
             acc[k] = acc.get(k, 0) + v1 * v2
@@ -189,26 +188,40 @@ class VermaGram:
 
     def determinant(self) -> PolyCH:
         """Exact determinant by Laplace expansion along the rows, memoized on
-        the set of columns used: O(n 2^n) polynomial products, not O(n!).
+        the set of columns used: O(n 2^n) entry-by-minor products, not O(n!).
 
-        minors[S] is the determinant of the first |S| rows restricted to the
-        columns in S.  The expansion is division-free over Z[C, h], and its result
-        alone is converted to (c, h).  Dimension 0 is the empty mask, whose minor is 1.
+        minors[S], the determinant of the first |S| rows on the columns in S, is one int:
+        its polynomial over Z[C, h] at C = 2^w, h = 2^(w (d_C + 1)).  The sums d_C and d_h
+        of the rows' largest C- and h-degrees bound every minor's degrees, and the product
+        of the rows' l1 norms its coefficients, which w holds with two bits to spare.  So
+        an entry times a minor is a few small-int multiplies and shifts, and the full
+        minor alone is read back, by the bias of series._product, and converted to (c, h).
+        Dimension 0 is the empty mask, whose minor is 1.
         """
-        n = self.dimension
-        minors: dict[int, IntPoly] = {0: {(0, 0): 1}}
-        for row in self.c12:
-            nonzero = [(j, e) for j, e in enumerate(row) if e]
-            nxt: dict[int, IntPoly] = {}
+        rows = self.c12
+        d_c = sum(max((i for e in row for i, _ in e), default=0) for row in rows)
+        d_h = sum(max((j for e in row for _, j in e), default=0) for row in rows)
+        bound = math.prod(sum(abs(v) for e in row for v in e.values()) for row in rows)
+        nb = (bound.bit_length() + 9) >> 3   # two bits above the bound, in whole bytes
+        w, slots = 8 * nb, (d_c + 1) * (d_h + 1)
+        minors = {0: 1}
+        for row in rows:
+            nonzero = [(j, [(v, w * (i + (d_c + 1) * k)) for (i, k), v in e.items() if v])
+                       for j, e in enumerate(row) if e]
+            nxt: dict[int, int] = {}
             for mask, minor in minors.items():
-                for j, entry in nonzero:
+                for j, terms in nonzero:
                     if mask >> j & 1:
                         continue
                     # (-1)^(columns of the mask right of j) is the cofactor sign
                     sign = -1 if (mask >> j).bit_count() & 1 else 1
-                    _add_product(nxt.setdefault(mask | 1 << j, {}), entry, minor, sign)
-            minors = {m: p for m, p in nxt.items() if any(p.values())}
-        return _to_c(minors.get((1 << n) - 1, {}))
+                    nxt[mask | 1 << j] = nxt.get(mask | 1 << j, 0) + sum(
+                        [sign * v * minor << shift for v, shift in terms])
+            minors = {m: p for m, p in nxt.items() if p}
+        bias = int.from_bytes((b"\x01" + bytes(nb - 1)) * slots, "little") << (w - 1)
+        det = (minors.get((1 << self.dimension) - 1, 0) + bias) ^ bias
+        coeffs = _unpack(det, slots, nb, signed=True)
+        return _to_c({(s % (d_c + 1), s // (d_c + 1)): v for s, v in enumerate(coeffs) if v})
 
     def evaluate(self, c, h) -> list[list]:
         return [[e.evaluate(c, h) for e in row] for row in self.entries]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qcft
-from qcft import boson, partitions, regularization, special, virasoro
+from qcft import boson, partitions, special, virasoro
 from qcft.checks import GROUPS, run_all, run_group
 from qcft.cli import _parse_progressions, build_parser, main
 from qcft.config import RunConfig, load_config
@@ -22,6 +22,8 @@ from qcft.series import MAX_ORDER
 GOLDEN_EXACT = Path(__file__).parent / "data" / "golden_exact.json"
 # sha256 of golden_exact.json as pinned before the rr.partition_oracle records: 42 records
 GOLDEN_EXACT_BEFORE_ORACLE = "c7ec078af139a1fd923e4d3158ec03a1d64ea8e0ecaaeb28b0ee110995a7bbb2"
+# sha256 of the stdout of `qcft all --order 4096 --exact-only`
+EXACT_AT_MAX_ORDER = "76302185641c402269de33273dea080c5a5f9daa38ca1d3e6fe1c061603a5cea"
 ORDER_ARGS = ["--order", "40"]
 
 
@@ -156,15 +158,14 @@ def test_exact_report_matches_pinned_golden():
 
 def test_failing_exact_checks_say_where(monkeypatch):
     # the one product builder that the rr products and the ODE's characters both read
-    real = special.euler_product
+    real = special.sparse_quotient
 
-    def corrupted(exponents, sign, order):
-        coeffs = real(exponents, sign, order)
+    def corrupted(numerator, theta, order):
+        coeffs = real(numerator, theta, order)
         coeffs[7] += 1
         return coeffs
 
-    monkeypatch.setattr(special, "euler_product", corrupted)
-    monkeypatch.setattr(regularization, "euler_product", corrupted)
+    monkeypatch.setattr(special, "sparse_quotient", corrupted)
     cfg = RunConfig(order=40)
     rr = {r.name: r for r in run_group("rr", cfg)}
     for which in "GH":
@@ -264,6 +265,12 @@ def test_rr_group_at_order_600(capsys):
     assert main(["rr", "--order", "600"]) == 0
     reports = json.loads(capsys.readouterr().out)
     assert {r["params"]["n_max"] for r in reports if "counting" in r["name"]} == {"599"}
+
+
+def test_exact_report_at_max_order_is_pinned(capsys):
+    # the only tier-1 guard on the bytes of the exact kernels at MAX_ORDER
+    assert main(["all", "--order", str(MAX_ORDER), "--exact-only"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == EXACT_AT_MAX_ORDER
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):

@@ -192,6 +192,67 @@ def test_euler_product_validation():
         euler_product([0], -1, 5)
 
 
+# -- the triple-product quotient ---------------------------------------------------
+
+PAIRS = [(p, i) for p in range(2, 14) for i in range(1, p) if 2 * i < p]
+
+
+def pair_spectrum(p, i):
+    return regularization.ArithmeticProgressionSet([(p, p - i), (p, i)])
+
+
+def test_triple_product_matches_the_expanded_product():
+    # Jacobi: prod over n = 0, +-i (mod p) of (1 - q^n), expanded by convolution to q^60
+    for p, i in PAIRS:
+        expect = product_over([[1] + [0] * (n - 1) + [-1] for n in range(1, 61)
+                               if n % p in (0, i, p - i)], 61)
+        got = [1] + [0] * 60
+        for g, sign in special.triple_product(p, i, 60):
+            got[g] = sign
+        assert got == expect, (p, i)
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 64, 401, 1001])
+def test_the_quotient_matches_euler_product(order):
+    for p, i in PAIRS:
+        spectrum = pair_spectrum(p, i)
+        expect = euler_product(spectrum.members(order), -1, order)
+        assert spectrum.inverse_product(-1, order) == expect, (p, i)
+
+
+def test_rr_products_never_call_euler_product(monkeypatch):
+    expect = {w: euler_product(s.members(401), -1, 401) for w, s in special.RR_SPECTRUM.items()}
+
+    def refuse(*args):
+        raise AssertionError("euler_product called")
+
+    monkeypatch.setattr(special, "euler_product", refuse)
+    for w, s in special.RR_SPECTRUM.items():
+        assert rr_product(w, 401) == FracQSeries.from_ints(0, expect[w])
+        osc = regularization.oscillator_partition_series(s, 401)
+        assert osc == FracQSeries.from_ints(regularization.casimir_exponent(s), expect[w])
+        assert virasoro.ode_residual(w, 64).is_zero()
+    # the (1, 1) spectrum and the twisted sign stay on the coin-change pass
+    everything = regularization.ArithmeticProgressionSet([(1, 1)])
+    with pytest.raises(AssertionError, match="euler_product called"):
+        regularization.oscillator_partition_series(everything, 40)
+    with pytest.raises(AssertionError, match="euler_product called"):
+        regularization.twisted_oscillator_series(special.RR_SPECTRUM["G"], 40)
+
+
+@pytest.mark.parametrize("progressions", [[(1, 1)], [(2, 1)], [(5, 1), (5, 3)],
+                                          [(5, 1), (10, 4)], [(4, 1), (4, 3), (4, 2)],
+                                          [(6, 1), (3, 2)]])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_other_spectra_take_euler_product(progressions, sign, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sparse_quotient called")
+
+    monkeypatch.setattr(special, "sparse_quotient", refuse)
+    spectrum = regularization.ArithmeticProgressionSet(progressions)
+    assert spectrum.inverse_product(sign, 64) == euler_product(spectrum.members(64), sign, 64)
+
+
 # -- numerical evaluation -----------------------------------------------------------
 
 def test_eta_eval_matches_series_evaluation():

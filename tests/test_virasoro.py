@@ -289,6 +289,68 @@ def test_determinant_matches_sympy(g):
     m = sympy.Matrix(g.dimension, g.dimension,
                      [poly_to_sympy(e) for row in g.entries for e in row])
     assert sympy.expand(poly_to_sympy(g.determinant()) - m.det(method="domain-ge")) == 0
+    assert g.determinant() == dict_determinant(g)
+
+
+def dict_determinant(g):
+    """The Laplace expansion memoized on column masks with each minor a dict polynomial
+    over Z[C, h]: no packing, so it is the oracle of the packed determinant."""
+    minors = {0: {(0, 0): 1}}
+    for row in g.c12:
+        nxt = {}
+        for mask, minor in minors.items():
+            for j, entry in enumerate(row):
+                if mask >> j & 1:
+                    continue
+                sign = -1 if (mask >> j).bit_count() & 1 else 1
+                acc = nxt.setdefault(mask | 1 << j, {})
+                for (i1, j1), v1 in entry.items():
+                    for (i2, j2), v2 in minor.items():
+                        k = (i1 + i2, j1 + j2)
+                        acc[k] = acc.get(k, 0) + sign * v1 * v2
+        minors = {m: {k: v for k, v in p.items() if v} for m, p in nxt.items()}
+        minors = {m: p for m, p in minors.items() if p}
+    full = minors.get((1 << g.dimension) - 1, {})
+    return PolyCH({(i, j): F(v, 12 ** i) for (i, j), v in full.items()})
+
+
+@pytest.mark.parametrize("vacuum", [False, True], ids=["generic", "vacuum"])
+@pytest.mark.parametrize("level", range(1, 7))
+def test_packed_determinant_matches_the_dict_expansion(level, vacuum):
+    g = gram_matrix(level, vacuum)
+    det, oracle = g.determinant(), dict_determinant(g)
+    assert det == oracle and str(det) == str(oracle)
+
+
+def diagonal_gram(entries):
+    n = len(entries)
+    rows = [[entries[i] if i == j else {} for j in range(n)] for i in range(n)]
+    return VermaGram(0, False, tuple((k,) for k in range(n)), tuple(map(tuple, rows)))
+
+
+def test_determinant_of_dimension_zero_is_one():
+    assert str(diagonal_gram([]).determinant()) == "1"
+
+
+def test_identically_zero_determinant():
+    row = ({(1, 0): 3, (0, 2): -5}, {(0, 0): 7})
+    g = VermaGram(0, False, ((1,), (2,)), (row, row))
+    assert g.determinant().terms == {} and str(g.determinant()) == "0"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bits", [1, 6, 7, 8, 14, 15, 16, 23, 24, 63, 64, 65])
+def test_determinant_coefficient_at_the_l1_bound(bits, sign):
+    # single-term diagonal entries: the one coefficient of the determinant is the product
+    # of the rows' l1 norms, 2^bits - 1, so a slot one bit too narrow for it is caught
+    bound = 2 ** bits - 1
+    for entries in ([{(0, 0): sign * bound}],
+                    [{(1, 0): sign * bound}, {(0, 1): 1}, {(2, 3): -1}, {(0, 0): -1}],
+                    [{(0, 2): 3}, {(1, 1): sign * bound}, {(0, 0): 1}]):
+        coefficient = math.prod(v for e in entries for v in e.values())
+        degrees = tuple(map(sum, zip(*(k for e in entries for k in e))))
+        assert diagonal_gram(entries).determinant() == PolyCH(
+            {degrees: F(coefficient, 12 ** degrees[0])})
 
 
 # -- null vector ---------------------------------------------------------------------
